@@ -282,8 +282,14 @@ def solve_cmd(ctx, matrix_path, n_qubits, kappa, kappa_star, eps_t, eps_d,
     f = 0.0
     if eps_pf > 0:
         f = commutator_constant(problem.unit_decomposition, loose=True)
-    cfg = KernelConfig(kernel, r_fixed=r_fixed, r_quadratic=r_quad,
-                       f=f, eps_pf=eps_pf, n_max=n_max)
+    try:
+        cfg = KernelConfig(kernel, r_fixed=r_fixed, r_quadratic=r_quad,
+                           f=f, eps_pf=eps_pf, n_max=n_max)
+    except ValueError as exc:
+        raise click.UsageError(
+            f"{exc} (r policies: --r, --r-quad, --eps-pf; "
+            "--kernel rte also needs --n-max)"
+        ) from exc
     report = run_solver(problem, cfg, n_samples, noise, seed)
     config = {"command": "solve", "matrix": matrix_path, "n_qubits": n_qubits,
               "kappa": kappa, "kappa_star": kappa_star, "eps_t": eps_t,

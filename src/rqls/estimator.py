@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fourier import SQRT_2PI, FourierSeries
-from .kernel_pf import build_pf, trotter_number
+from .kernel_pf import build_pf, strang_unitaries, trotter_number
 from .kernel_rte import (
     RTEInfeasibleError,
     choose_nmax,
@@ -26,7 +26,7 @@ from .kernel_rte import (
 )
 from .pauli import PauliDecomposition, materialize
 from .sampler import TimeSampler, sample_rng
-from .simulator import StateVector, exact_evolution, hadamard_shot
+from .simulator import StateVector, exact_evolution, hadamard_shot, spectrum
 
 DESK_SCALE_LIMIT = 1e15
 PF_R_CAP = 10**9
@@ -364,8 +364,7 @@ def run_solver(
 
 def overlap_table_exact(problem: Problem) -> np.ndarray:
     """<phi| e^{-i (A/lam) t_jk} |psi> for every grid pair, shape (J, K)."""
-    a = materialize(problem.unit_decomposition)
-    evals, evecs = np.linalg.eigh(a)
+    evals, evecs = spectrum(problem.unit_decomposition)
     w = (problem.phi.amplitudes.conj() @ evecs) * (
         evecs.conj().T @ problem.psi.amplitudes
     )
@@ -379,17 +378,12 @@ def overlap_table_pf(problem: Problem, config: KernelConfig) -> np.ndarray:
     """Product-formula overlap for every grid pair under config's r policy."""
     if config.kernel != "pf":
         raise ValueError("config must select the pf kernel")
-    d = problem.unit_decomposition
     grid = problem.series.grid
-    phi = problem.phi.amplitudes.conj()
-    psi = problem.psi.amplitudes
-    out = np.empty((grid.J, grid.K), dtype=complex)
-    for j, y in enumerate(grid.y_nodes):
-        for k, z in enumerate(grid.z_nodes):
-            tau = float(y * z)
-            plan = build_pf(d, tau, config.r_for(tau))
-            out[j, k] = phi @ plan.dense_unitary @ psi
-    return out
+    taus = np.multiply.outer(grid.y_nodes, grid.z_nodes).ravel()
+    rs = [config.r_for(tau) for tau in taus.tolist()]
+    unitaries = strang_unitaries(problem.unit_decomposition, taus, rs)
+    values = (unitaries @ problem.psi.amplitudes) @ problem.phi.amplitudes.conj()
+    return values.reshape(grid.J, grid.K)
 
 
 def monte_carlo_mean(

@@ -20,7 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliDecomposition, PauliString, PhasedPauli, pauli_product
+from .pauli import (
+    PauliDecomposition,
+    PauliString,
+    PhasedPauli,
+    _popcount_array,
+    pauli_action,
+    pauli_product,
+)
 
 NMAX_UNDERFLOW_CLAMP = 150
 RTE_DENSE_QUBIT_GUARD = 10
@@ -109,12 +116,6 @@ class RTEUnitary:
     dense_unitary: np.ndarray
 
 
-def _rotation_dense(p: PauliString, theta: float) -> np.ndarray:
-    """exp(-i theta P) = cos(theta) I - i sin(theta) P."""
-    dim = 1 << p.n_qubits
-    return math.cos(theta) * np.eye(dim) - 1j * math.sin(theta) * p.to_matrix()
-
-
 def sample_rte_unitary(
     d: PauliDecomposition,
     model: RTESegmentModel,
@@ -133,8 +134,8 @@ def sample_rte_unitary(
     dim = 1 << d.n_qubits
 
     segments = []
+    rot_terms = []
     phase = complex(1.0)
-    dense = np.eye(dim, dtype=complex)
     for _ in range(r):
         i_n = int(np.searchsorted(cdf_n, rng.random(), side="right"))
         n = int(model.orders[i_n])
@@ -151,7 +152,21 @@ def sample_rte_unitary(
         # the rotation coefficient's sign lives inside the rotation angle
         theta = float(model.thetas[i_n]) * (1.0 if c_rot >= 0 else -1.0)
         segments.append(RTESegment(prefix.string, rot, theta, n))
-        dense = dense @ (prefix.string.to_matrix() @ _rotation_dense(rot, theta))
+        rot_terms.append(idx[-1])
+    # U = prod_s prefix_s exp(-i theta_s P_s), built right to left by row
+    # gathers: P M = phase[:, None] * M[src]
+    rot_src, rot_phase = d.action_tables()
+    pre_src, pre_phase = pauli_action(
+        d.n_qubits,
+        [seg.prefix.x_mask for seg in segments],
+        [seg.prefix.z_mask for seg in segments],
+    )
+    dense = np.eye(dim, dtype=complex)
+    for i in range(r - 1, -1, -1):
+        l, theta = rot_terms[i], segments[i].theta
+        rotated = rot_phase[l][:, None] * dense[rot_src[l]]
+        dense = math.cos(theta) * dense - 1j * math.sin(theta) * rotated
+        dense = pre_phase[i][:, None] * dense[pre_src[i]]
     return RTEUnitary(tuple(segments), phase, r, dense)
 
 
@@ -186,17 +201,6 @@ def rte_unitary_to_json(u: RTEUnitary) -> dict:
             for seg in u.segments
         ],
     }
-
-
-def _popcount_array(v: np.ndarray) -> np.ndarray:
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(v)
-    out = np.zeros_like(v)
-    w = v.copy()
-    while w.any():
-        out += w & 1
-        w >>= 1
-    return out
 
 
 def sample_rte_overlaps_batch(
@@ -289,13 +293,7 @@ def sample_rte_overlaps_batch(
     )
 
     rot_idx = np.searchsorted(cdf_pauli, rng.random(shape), side="right")
-
-    # Per-term Pauli action tables: canonical P(x, z) = i^pc(x&z) X^x Z^z
-    # maps basis state i to i^x with sign (-1)^pc(z & (i^x)).
-    basis = np.arange(dim)
-    col_tab = basis[None, :] ^ xs[:, None]  # (L, dim)
-    sign_tab = 1.0 - 2.0 * (_popcount_array(zs[:, None] & col_tab) & 1)
-    canon_tab = 1j ** (_popcount_array(xs & zs) % 4)
+    src, phase_tab = d.action_tables()
 
     cos_t = np.cos(model.thetas)[order_idx]
     sin_t = np.sin(model.thetas)[order_idx] * signs[rot_idx]
@@ -306,20 +304,14 @@ def sample_rte_overlaps_batch(
     v = np.broadcast_to(psi.astype(complex), (n_samples, dim)).copy()
     for seg in range(r - 1, -1, -1):
         rot = rot_idx[:, seg]
-        pv = (canon_tab[rot][:, None] * sign_tab[rot]) * np.take_along_axis(
-            v, col_tab[rot], axis=1
-        )
+        pv = phase_tab[rot] * np.take_along_axis(v, src[rot], axis=1)
         v = cos_t[:, seg, None] * v - 1j * sin_t[:, seg, None] * pv
         sel = np.nonzero(nontrivial[:, seg])[0]
         if len(sel):
-            px = acc_x[sel, seg]
-            pz = acc_z[sel, seg]
-            cols = basis[None, :] ^ px[:, None]
-            sign = 1.0 - 2.0 * (_popcount_array(pz[:, None] & cols) & 1)
-            canon = 1j ** (_popcount_array(px & pz) % 4)
-            v[sel] = (canon[:, None] * sign) * np.take_along_axis(
-                v[sel], cols, axis=1
+            pre_src, pre_phase = pauli_action(
+                d.n_qubits, acc_x[sel, seg], acc_z[sel, seg]
             )
+            v[sel] = pre_phase * np.take_along_axis(v[sel], pre_src, axis=1)
     return phases.prod(axis=1) * (v @ phi.conj())
 
 

@@ -20,10 +20,37 @@ COEFF_PRUNE_TOL = 1e-14
 
 _CHAR_TO_XZ = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _XZ_TO_CHAR = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+_I_POWERS = np.array([1, 1j, -1, -1j])
 
 
 def _popcount(v: int) -> int:
-    return bin(v).count("1")
+    return int(v).bit_count()
+
+
+def _popcount_array(v: np.ndarray) -> np.ndarray:
+    """Elementwise popcount of a nonnegative integer array."""
+    if hasattr(np, "bitwise_count"):
+        return np.bitwise_count(v)
+    out = np.zeros_like(v)  # numpy < 2.0 has no bitwise_count
+    w = v.copy()
+    while w.any():
+        out += w & 1
+        w >>= 1
+    return out
+
+
+def pauli_action(n_qubits: int, x_masks, z_masks):
+    """Row-gather tables of the canonical strings P_l = i^pc(x&z) X^x Z^z.
+
+    Returns (src, phase), each of shape (L, 2^n): row i of P_l holds the
+    single entry phase[l, i] in column src[l, i] = i ^ x_l, with phase
+    i^pc(x_l & z_l) (-1)^pc(z_l & src), so (P_l M)[i] = phase[l, i] M[src[l, i]].
+    """
+    xs = np.asarray(x_masks, dtype=np.int64).reshape(-1, 1)
+    zs = np.asarray(z_masks, dtype=np.int64).reshape(-1, 1)
+    src = np.arange(1 << n_qubits) ^ xs
+    signs = 1.0 - 2.0 * (_popcount_array(zs & src) & 1)
+    return src, _I_POWERS[_popcount_array(xs & zs) % 4] * signs
 
 
 @dataclass(frozen=True, order=True)
@@ -75,15 +102,10 @@ class PauliString:
 
     def to_matrix(self) -> np.ndarray:
         """Dense 2^n x 2^n matrix of this string."""
-        n = self.n_qubits
-        dim = 1 << n
-        cols = np.arange(dim)
-        rows = cols ^ self.x_mask
-        zk = cols & self.z_mask
-        signs = (-1.0) ** np.array([_popcount(int(v)) for v in zk])
-        phase = 1j ** _popcount(self.x_mask & self.z_mask)
+        src, phase = pauli_action(self.n_qubits, self.x_mask, self.z_mask)
+        dim = 1 << self.n_qubits
         mat = np.zeros((dim, dim), dtype=complex)
-        mat[rows, cols] = phase * signs
+        mat[np.arange(dim), src[0]] = phase[0]
         return mat
 
     def __str__(self) -> str:
@@ -155,6 +177,14 @@ class PauliDecomposition:
     def L(self) -> int:
         return len(self.terms)
 
+    def action_tables(self):
+        """pauli_action tables (src, phase) of the strings, in term order."""
+        return pauli_action(
+            self.n_qubits,
+            [p.x_mask for _, p in self.terms],
+            [p.z_mask for _, p in self.terms],
+        )
+
     @property
     def lam(self) -> float:
         """Pauli weight: sum of |c_l|."""
@@ -184,12 +214,6 @@ class PauliDecomposition:
         return cls(terms[0][1].n_qubits, terms)
 
 
-def _all_strings(n_qubits: int):
-    for x in range(1 << n_qubits):
-        for z in range(1 << n_qubits):
-            yield PauliString(n_qubits, x, z)
-
-
 def pauli_decompose(a: np.ndarray, prune_tol: float = COEFF_PRUNE_TOL) -> PauliDecomposition:
     """Decompose a Hermitian matrix into the Pauli basis.
 
@@ -208,17 +232,16 @@ def pauli_decompose(a: np.ndarray, prune_tol: float = COEFF_PRUNE_TOL) -> PauliD
     if np.abs(a - a.conj().T).max() > HERMITICITY_TOL * scale:
         raise ValueError("input matrix is not Hermitian within tolerance")
 
-    cols = np.arange(dim)
+    rows = np.arange(dim)
     terms = []
-    for p in _all_strings(n):
-        # Tr(P A) = sum_k P[k^x, k] A[k, k^x] with one nonzero per column
-        zk = cols & p.z_mask
-        signs = (-1.0) ** np.array([_popcount(int(v)) for v in zk])
-        phase = 1j ** _popcount(p.x_mask & p.z_mask)
-        tr = np.sum(phase * signs * a[cols, cols ^ p.x_mask])
-        c = tr.real / dim
-        if abs(c) > prune_tol:
-            terms.append((float(c), p))
+    for x in range(dim):
+        # every z for this x at once: Tr(P A) = sum_i P[i, src_i] A[src_i, i]
+        src, phase = pauli_action(n, np.full(dim, x), rows)
+        traces = np.sum(phase * a[src, rows], axis=1)
+        for z, tr in enumerate(traces):
+            c = tr.real / dim
+            if abs(c) > prune_tol:
+                terms.append((float(c), PauliString(n, x, z)))
     return PauliDecomposition(n, tuple(terms))
 
 
@@ -231,12 +254,10 @@ def materialize(d: PauliDecomposition) -> np.ndarray:
         raise ValueError(f"n_qubits={d.n_qubits} exceeds dense guard {DENSE_QUBIT_GUARD}")
     dim = 1 << d.n_qubits
     out = np.zeros((dim, dim), dtype=complex)
-    cols = np.arange(dim)
-    for c, p in d.terms:
-        zk = cols & p.z_mask
-        signs = (-1.0) ** np.array([_popcount(int(v)) for v in zk])
-        phase = 1j ** _popcount(p.x_mask & p.z_mask)
-        out[cols ^ p.x_mask, cols] += c * phase * signs
+    src, phase = d.action_tables()
+    rows = np.arange(dim)
+    for (c, _), cols, ph in zip(d.terms, src, phase):
+        out[rows, cols] += c * ph
     return out
 
 

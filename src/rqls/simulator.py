@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,6 +10,7 @@ import numpy as np
 from .pauli import PauliDecomposition, materialize
 
 EXACT_EVOLUTION_QUBIT_GUARD = 10
+SPECTRUM_CACHE_SIZE = 8
 
 NOISE_MODES = ("bernoulli", "gaussian", "exact")
 
@@ -39,11 +41,21 @@ class ShotOutcome:
     part: str  # "real" or "imaginary"
 
 
+@functools.lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
+def spectrum(d: PauliDecomposition):
+    """Read-only (eigenvalues, eigenvectors) of materialize(d), computed
+    once per distinct decomposition (decompositions compare by value)."""
+    evals, evecs = np.linalg.eigh(materialize(d))
+    evals.flags.writeable = False
+    evecs.flags.writeable = False
+    return evals, evecs
+
+
 def exact_evolution(d: PauliDecomposition, tau: float) -> np.ndarray:
     """exp(-i * materialize(d) * tau) via Hermitian eigendecomposition."""
     if d.n_qubits > EXACT_EVOLUTION_QUBIT_GUARD:
         raise ValueError(f"n_qubits={d.n_qubits} exceeds dense guard")
-    evals, evecs = np.linalg.eigh(materialize(d))
+    evals, evecs = spectrum(d)
     return (evecs * np.exp(-1j * tau * evals)) @ evecs.conj().T
 
 

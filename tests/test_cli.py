@@ -216,3 +216,17 @@ def test_threads_recorded_in_manifest():
         "--eps-t", "5e-3", "--eps-d", "5e-3",
     ])
     assert json.loads(res.output)["threads"] == 4
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--kernel", "pf"], "exactly one r policy"),
+    (["--kernel", "rte"], "exactly one r policy"),
+    (["--kernel", "rte", "--r-quad", "0.25"], "n_max"),
+])
+def test_solve_missing_kernel_options_is_usage_error(args, message):
+    result = CliRunner().invoke(main, [
+        "solve", "--kappa", "5", "--eps-t", "5e-2", "--eps-d", "5e-2", *args,
+    ])
+    assert result.exit_code == 2, result.output
+    assert not isinstance(result.exception, ValueError)
+    assert "Error:" in result.output and message in result.output

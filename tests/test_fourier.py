@@ -149,3 +149,18 @@ def test_lambda_scaling():
     assert s2.n_terms > s1.n_terms
     x = np.linspace(1 / 20, 1.0, 50)
     assert s2.inverse_error(x).max() <= 1e-2
+
+
+@pytest.mark.parametrize("kappa, lam, eps_t, eps_d", [
+    (10.0, 1.0, 5e-3, 5e-3),
+    (4.0, 1.7, 1e-2, 1e-3),
+    (100.0, 1.0, 1e-2, 1e-2),
+    (2.0, 3.0, 0.1, 0.1),
+])
+def test_z_grid_ends_at_z_max(kappa, lam, eps_t, eps_d):
+    s = build_series(kappa, lam, eps_t, eps_d)
+    z_max = math.sqrt(2 * math.log(3 * kappa * lam / eps_t))
+    grid = s.grid
+    assert grid.z_nodes[[0, -1]] == pytest.approx([-z_max, z_max], rel=1e-13)
+    assert grid.delta_z == pytest.approx(2 * z_max / (grid.K - 1), rel=1e-13)
+    assert np.diff(grid.z_nodes) == pytest.approx(grid.delta_z, rel=1e-9)

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from rqls.pauli import pauli_decompose
-from rqls.simulator import StateVector, exact_evolution, hadamard_shot, overlap
+from rqls.pauli import PauliDecomposition, materialize, pauli_decompose
+from rqls.simulator import (
+    StateVector,
+    exact_evolution,
+    hadamard_shot,
+    overlap,
+    spectrum,
+)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -124,3 +130,27 @@ def test_hadamard_shot_validation():
         hadamard_shot(psi, np.eye(2), psi, "real", "poisson", rng)
     with pytest.raises(ValueError):
         hadamard_shot(psi, 2 * np.eye(2), psi, "real", "exact", rng)
+
+
+def test_exact_evolution_spectrum_cached_per_decomposition():
+    rng = np.random.default_rng(8)
+    d1 = random_unit_decomposition(2, rng)
+    d2 = random_unit_decomposition(2, rng)
+    u1 = exact_evolution(d1, 0.6)
+    # repeated calls, also with an equal decomposition built anew, agree
+    # and reuse the first call's eigendecomposition
+    hits = spectrum.cache_info().hits
+    assert np.array_equal(exact_evolution(d1, 0.6), u1)
+    copy = PauliDecomposition(d1.n_qubits, tuple(d1.terms))
+    assert copy is not d1 and np.array_equal(exact_evolution(copy, 0.6), u1)
+    assert spectrum.cache_info().hits == hits + 2
+    # a second decomposition gets its own spectrum, not the first one's
+    u2 = exact_evolution(d2, 0.6)
+    expected = np.linalg.eigh(materialize(d2))
+    ref = (expected[1] * np.exp(-0.6j * expected[0])) @ expected[1].conj().T
+    assert np.abs(u2 - ref).max() < 1e-13
+    assert np.abs(u2 - u1).max() > 1e-3
+    evals, evecs = spectrum(d2)
+    assert not evals.flags.writeable and not evecs.flags.writeable
+    with pytest.raises(ValueError):
+        evals[0] = 0.0
