@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fourier import SQRT_2PI, FourierSeries
-from .kernel_pf import build_pf, strang_unitaries, trotter_number
+from .kernel_pf import build_pf, strang_overlaps, trotter_number
 from .kernel_rte import (
     RTEInfeasibleError,
     choose_nmax,
@@ -380,9 +380,9 @@ def overlap_table_pf(problem: Problem, config: KernelConfig) -> np.ndarray:
         raise ValueError("config must select the pf kernel")
     grid = problem.series.grid
     taus = np.multiply.outer(grid.y_nodes, grid.z_nodes).ravel()
-    rs = [config.r_for(tau) for tau in taus.tolist()]
-    unitaries = strang_unitaries(problem.unit_decomposition, taus, rs)
-    values = (unitaries @ problem.psi.amplitudes) @ problem.phi.amplitudes.conj()
+    rs = np.fromiter(map(config.r_for, taus.tolist()), dtype=np.int64, count=len(taus))
+    values = strang_overlaps(problem.unit_decomposition, taus, rs,
+                             problem.psi.amplitudes, problem.phi.amplitudes)
     return values.reshape(grid.J, grid.K)
 
 

@@ -9,6 +9,8 @@ stores 2L-1 rotations; the reported non-Clifford count stays 2L per step
 `strang_unitaries` builds S(tau/r)^r for many (tau, r) pairs at once: the
 merged step for the whole batch from one Pauli action table, then each
 step raised to its own r by batched binary exponentiation.
+`strang_overlaps` contracts each chunk of those products with two states
+as it is built.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from .pauli import PauliDecomposition
 
 PF_DENSE_QUBIT_GUARD = 10
-# complex entries of one batch of dense unitaries held at a time
+# entries (steps plus rotation coefficients) of one batch held at a time
 STRANG_CHUNK_ENTRIES = 1 << 20
 
 
@@ -78,15 +80,7 @@ def _batched_power(m: np.ndarray, rs: np.ndarray) -> np.ndarray:
     return out
 
 
-def strang_unitaries(d: PauliDecomposition, taus, rs) -> np.ndarray:
-    """Dense S(tau_i/r_i)^{r_i} for every pair, shape (n, dim, dim).
-
-    d must have unit Pauli weight.  Each step is built from identities by
-    the 2L-1 rotations cos(a) M - i sin(a) P M, applied right to left, each
-    one batched row gather; the steps are then raised to their r in
-    O(log max r) stacked products.  Batches are processed in chunks of at
-    most STRANG_CHUNK_ENTRIES complex entries.
-    """
+def _strang_inputs(d: PauliDecomposition, taus, rs):
     taus = np.asarray(taus, dtype=float)
     rs = np.asarray(rs, dtype=np.int64)
     if taus.ndim != 1 or taus.shape != rs.shape:
@@ -95,14 +89,23 @@ def strang_unitaries(d: PauliDecomposition, taus, rs) -> np.ndarray:
         raise ValueError("r must be >= 1")
     if d.n_qubits > PF_DENSE_QUBIT_GUARD:
         raise ValueError(f"n_qubits={d.n_qubits} exceeds dense guard")
+    return taus, rs
+
+
+def _strang_chunks(d: PauliDecomposition, taus: np.ndarray, rs: np.ndarray):
+    """Yield (slice, S(tau/r)^r for the pairs in that slice), chunk by chunk.
+
+    A chunk holds at most STRANG_CHUNK_ENTRIES entries, counting per pair
+    its dim x dim step and the cos and -i sin of each of its 2L-1
+    rotations.
+    """
     dim = 1 << d.n_qubits
     src, phase = d.action_tables()
     phase = phase[:, :, None]
     terms, fractions = _step_order(d.L)
     # angle per (rotation, element) is (c_l w) dt, as in step_rotations
     scaled = np.array([d.terms[l][0] * w for l, w in zip(terms, fractions)])
-    chunk = max(1, STRANG_CHUNK_ENTRIES // (dim * dim))
-    out = np.empty((len(taus), dim, dim), dtype=complex)
+    chunk = max(1, STRANG_CHUNK_ENTRIES // (dim * dim + 2 * len(terms)))
     for start in range(0, len(taus), chunk):
         sl = slice(start, start + chunk)
         angles = np.multiply.outer(scaled, taus[sl] / rs[sl])[:, :, None, None]
@@ -111,7 +114,36 @@ def strang_unitaries(d: PauliDecomposition, taus, rs) -> np.ndarray:
         for k in range(len(terms) - 1, -1, -1):
             l = terms[k]
             m = cos[k] * m + minus_i_sin[k] * (phase[l] * m[:, src[l]])
-        out[sl] = _batched_power(m, rs[sl])
+        yield sl, _batched_power(m, rs[sl])
+
+
+def strang_unitaries(d: PauliDecomposition, taus, rs) -> np.ndarray:
+    """Dense S(tau_i/r_i)^{r_i} for every pair, shape (n, dim, dim).
+
+    d must have unit Pauli weight.  Each step is built from identities by
+    the 2L-1 rotations cos(a) M - i sin(a) P M, applied right to left, each
+    one batched row gather; the steps are then raised to their r in
+    O(log max r) stacked products, one chunk of pairs at a time.
+    """
+    taus, rs = _strang_inputs(d, taus, rs)
+    dim = 1 << d.n_qubits
+    out = np.empty((len(taus), dim, dim), dtype=complex)
+    for sl, unitaries in _strang_chunks(d, taus, rs):
+        out[sl] = unitaries
+    return out
+
+
+def strang_overlaps(d: PauliDecomposition, taus, rs, psi, phi) -> np.ndarray:
+    """<phi| S(tau_i/r_i)^{r_i} |psi> for every pair, shape (n,).
+
+    The same products as `strang_unitaries`, each chunk contracted with psi
+    and phi before the next is built, so memory stays at one chunk.
+    """
+    taus, rs = _strang_inputs(d, taus, rs)
+    phi_conj = np.asarray(phi).conj()
+    out = np.empty(len(taus), dtype=complex)
+    for sl, unitaries in _strang_chunks(d, taus, rs):
+        out[sl] = (unitaries @ psi) @ phi_conj
     return out
 
 

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import roots_legendre
 
 from rqls.fourier import (
+    GL_END_SET,
     SQRT_2PI,
     SeriesSizeError,
     build_series,
@@ -60,6 +61,80 @@ def test_gl_rejects_bad_degree():
         gauss_legendre(0)
 
 
+def recurrence_rule(deg):
+    """Reference rule: Newton on the three-term recurrence from Tricomi's
+    guesses, in long double, O(deg^2); weights 2 / ((1 - x^2) P'(x)^2)."""
+    def legendre_pair(x):
+        p_prev, p = np.ones_like(x), x.copy()
+        for n in range(2, deg + 1):
+            p_prev, p = p, ((2 * n - 1) * x * p - (n - 1) * p_prev) / n
+        return p, deg * (x * p - p_prev) / (x * x - 1)
+
+    m = (deg + 1) // 2
+    k = np.arange(1, m + 1, dtype=np.longdouble)
+    phi = np.pi * (4 * k - 1) / (4 * deg + 2)
+    x = (1 - (deg - 1) / (8.0 * deg**3)
+         - (39 - 28 / np.sin(phi) ** 2) / (384.0 * deg**4)) * np.cos(phi)
+    for _ in range(10):
+        p, dp = legendre_pair(x)
+        x -= p / dp
+    p, dp = legendre_pair(x)
+    w = 2 / ((1 - x * x) * dp * dp)
+    if deg % 2:
+        x[-1] = 0
+    inner = m - deg % 2
+    nodes = np.concatenate([-x[:inner], x[::-1]])
+    return nodes.astype(float), np.concatenate([w[:inner], w[::-1]]).astype(float)
+
+
+def end_set_split_degrees(lo, hi, count):
+    """Degrees in [lo, hi) with a root's 2 deg sin(phi) nearest GL_END_SET."""
+    def gap(deg):
+        k = np.arange(1, (deg + 1) // 2 + 1)
+        phi = math.pi * (4 * k - 1) / (4 * deg + 2)
+        return np.abs(2 * deg * np.sin(phi) / GL_END_SET - 1).min()
+    return sorted(range(lo, hi), key=gap)[:count]
+
+
+def test_gl_matches_recurrence_rule():
+    # every degree 2..300 (all roots in the end set below 50, both sets
+    # above) and the degrees up to 1000 whose roots sit nearest the split
+    for deg in list(range(2, 301)) + end_set_split_degrees(301, 1000, 4):
+        nodes, weights = gauss_legendre(deg)
+        ref_n, ref_w = recurrence_rule(deg)
+        assert np.abs(nodes - ref_n).max() < 1e-15, deg
+        assert np.abs(weights / ref_w - 1).max() < 1e-13, deg
+
+
+@pytest.mark.parametrize("deg", [20388, 30969])
+def test_gl_table1_degrees(deg):
+    nodes, weights = gauss_legendre(deg)
+    assert len(nodes) == deg and np.all(weights > 0)
+    assert abs(math.fsum(weights) - 2) < 1e-12
+    assert np.all(np.diff(nodes) > 0)
+    assert np.array_equal(nodes, -nodes[::-1])
+    for k in np.unique(np.linspace(1, deg, 64).astype(int)):
+        assert abs(weights @ np.cos(k * nodes) - 2 * math.sin(k) / k) < 1e-12, k
+
+
+@pytest.mark.parametrize("deg", [2065, 20388])
+def test_gl_end_roots_match_mpmath(deg):
+    mpmath = pytest.importorskip("mpmath")
+    nodes, weights = gauss_legendre(deg)
+    with mpmath.workdps(40):
+        def legendre(n, x):
+            return mpmath.hyp2f1(-n, n + 1, 1, (1 - x) / 2, maxterms=10**6)
+
+        for x, w in zip(nodes[-100:], weights[-100:]):
+            root = mpmath.mpf(x)
+            for _ in range(3):
+                p, q = legendre(deg, root), legendre(deg - 1, root)
+                root -= p * (1 - root * root) / (deg * (q - root * p))
+            ref_w = 2 * (1 - root * root) / (deg * legendre(deg - 1, root)) ** 2
+            assert abs(x - root) < 1e-15
+            assert abs(w / ref_w - 1) < 1e-10
+
+
 def test_rescale():
     assert rescale(10, 1.0) == 10
     assert rescale(100, 2.09) == pytest.approx(209.0)
@@ -110,6 +185,19 @@ def test_series_accuracy(series_10):
 def test_series_endpoints(series_10):
     err = series_10.inverse_error(np.array([0.1, 1.0, -0.1, -1.0]))
     assert err.max() <= 1e-2
+
+
+def test_evaluate_matches_full_complex_sum(series_10):
+    grid = series_10.grid
+    amp_z = grid.delta_z * grid.z_nodes * np.exp(-grid.z_nodes**2 / 2)
+    alpha = 1j / SQRT_2PI * np.multiply.outer(grid.wy_weights, amp_z)
+    t = np.multiply.outer(grid.y_nodes, grid.z_nodes)
+    x = np.array([-0.93, -0.1, 0.1, 0.37, 1.0])
+    full = np.array([(alpha * np.exp(-1j * xi * t)).sum() for xi in x])
+    got = series_10.evaluate(x)
+    assert got.dtype == complex and np.all(got.imag == 0)
+    assert np.abs(got - full).max() <= 1e-13 * np.abs(full).max()
+    assert series_10.evaluate(0.37) == got[3]
 
 
 def test_series_odd_symmetry(series_10):

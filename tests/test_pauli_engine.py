@@ -2,6 +2,7 @@
 against dense oracles built from Kronecker products of text Paulis."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,7 +63,7 @@ def test_strang_unitaries_match_oracle(n):
 def test_strang_unitaries_across_chunk_boundary():
     # one element more than a chunk holds: the tail lands in a second chunk
     d = random_unit_decomposition(1, np.random.default_rng(7))
-    chunk = kernel_pf.STRANG_CHUNK_ENTRIES // 4
+    chunk = kernel_pf.STRANG_CHUNK_ENTRIES // (4 + 2 * (2 * d.L - 1))
     n = chunk + 1
     rng = np.random.default_rng(8)
     taus = rng.uniform(-3.0, 3.0, size=n)
@@ -151,3 +152,23 @@ def test_overlap_table_pf_matches_per_pair_reference(make_problem, config):
     ref = per_pair_reference(problem, config, pairs)
     got = np.array([table[j, k] for j, k in pairs])
     assert np.abs(got - ref).max() < 1e-12
+
+
+def test_overlap_table_pf_memory_is_table_plus_one_chunk(monkeypatch):
+    # peak allocation is a few copies of the (J, K) table (taus, r values,
+    # the table itself) plus one chunk of products, at any grid size
+    monkeypatch.setattr(kernel_pf, "STRANG_CHUNK_ENTRIES", 1 << 12)
+    chunk_bytes = 8 * 16 * kernel_pf.STRANG_CHUNK_ENTRIES
+    rng = np.random.default_rng(np.random.SeedSequence((77, 0)))
+    art = gen_matrix(2, 10.0, rng)
+    psi = StateVector.basis(2, 0)
+    config = KernelConfig("pf", r_fixed=5)
+    for eps in (1e-1, 1e-2):
+        problem = Problem(art.decomposition, psi, psi, build_series(10.0, art.lam, eps, eps))
+        tracemalloc.start()
+        try:
+            table = overlap_table_pf(problem, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * table.nbytes + chunk_bytes, (table.shape, peak)
