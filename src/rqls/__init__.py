@@ -38,6 +38,7 @@ from .kernel_rte import (
     RTEInfeasibleError,
     RTESegmentModel,
     RTEUnitary,
+    RTEWeightOverflowError,
     choose_nmax,
     rte_bias_bound,
     rte_finite_lcu,

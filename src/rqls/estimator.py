@@ -25,7 +25,7 @@ from .kernel_rte import (
     segment_model,
 )
 from .pauli import PauliDecomposition, materialize
-from .sampler import TimeSampler, sample_rng
+from .sampler import DRAW_BLOCK, TimeSampler, sample_rng
 from .simulator import StateVector, exact_evolution, hadamard_shot, spectrum
 
 DESK_SCALE_LIMIT = 1e15
@@ -91,17 +91,21 @@ class KernelConfig:
         if self.kernel == "rte" and self.n_max < 1:
             raise ValueError("rte kernel needs n_max >= 1")
 
-    def r_for(self, tau: float) -> int:
+    def r_for(self, tau):
+        """r for a time tau: an int, or an int64 array elementwise when tau
+        is an array."""
+        t = np.asarray(tau, dtype=float)
         if self.kernel == "exact":
-            return 1
-        if self.r_fixed > 0:
-            return self.r_fixed
-        if self.r_quadratic > 0:
-            r = max(1, math.ceil(self.r_quadratic * tau * tau))
+            r = np.ones(t.shape, dtype=np.int64)
+        elif self.r_fixed > 0:
+            r = np.full(t.shape, self.r_fixed, dtype=np.int64)
+        elif self.r_quadratic > 0:
+            r = np.maximum(1, np.ceil(self.r_quadratic * t * t)).astype(np.int64)
             if self.kernel == "rte":
-                r = max(r, math.ceil(abs(tau)))
-            return r
-        return trotter_number(self.f, tau, self.eps_pf)
+                r = np.maximum(r, np.ceil(np.abs(t)).astype(np.int64))
+        else:
+            return trotter_number(self.f, tau, self.eps_pf)
+        return int(r) if r.ndim == 0 else r
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +384,7 @@ def overlap_table_pf(problem: Problem, config: KernelConfig) -> np.ndarray:
         raise ValueError("config must select the pf kernel")
     grid = problem.series.grid
     taus = np.multiply.outer(grid.y_nodes, grid.z_nodes).ravel()
-    rs = np.fromiter(map(config.r_for, taus.tolist()), dtype=np.int64, count=len(taus))
-    values = strang_overlaps(problem.unit_decomposition, taus, rs,
+    values = strang_overlaps(problem.unit_decomposition, taus, config.r_for(taus),
                              problem.psi.amplitudes, problem.phi.amplitudes)
     return values.reshape(grid.J, grid.K)
 
@@ -396,32 +399,63 @@ def monte_carlo_mean(
 ) -> np.ndarray:
     """Vectorized estimator mean for a deterministic-kernel overlap table.
 
-    With `schedule` (sorted sample counts <= n_s), returns the running mean
-    at each count from a single stream of n_s samples; otherwise returns
-    the single mean at n_s.  Matches the per-sample loop in distribution
-    (not draw-for-draw: the batch path consumes randomness differently).
+    With `schedule` (sample counts <= n_s), returns the running mean at
+    each count from a single stream of n_s samples; otherwise returns the
+    single mean at n_s.  Matches the per-sample loop in distribution (not
+    draw-for-draw: the batch path consumes randomness differently).
+
+    Samples are taken in blocks of DRAW_BLOCK, with running sums carried
+    from block to block.  Each block draws its j, then its k (as
+    `TimeSampler.sample_batch` does), then its shot noise (real part, then
+    imaginary part).  With n_s <= DRAW_BLOCK this is the unblocked stream.
     """
-    sampler = TimeSampler(series)
-    j, k, _, omega = sampler.sample_batch(rng, n_s)
-    v = overlap_table[j, k]
-    if noise_mode == "bernoulli":
-        re = np.where(rng.random(n_s) < (1 + v.real) / 2, 1.0, -1.0)
-        im = np.where(rng.random(n_s) < (1 + v.imag) / 2, 1.0, -1.0)
-    elif noise_mode == "gaussian":
-        re = v.real + rng.standard_normal(n_s)
-        im = v.imag + rng.standard_normal(n_s)
-    elif noise_mode == "exact":
-        re, im = v.real, v.imag
-    else:
+    if noise_mode not in ("bernoulli", "gaussian", "exact"):
         raise ValueError(f"unknown noise mode {noise_mode!r}")
-    z = sampler.weight * omega * (re + 1j * im)
+    if schedule is not None:
+        counts = np.asarray(schedule, dtype=np.int64)
+        if counts.max() > n_s or counts.min() < 1:
+            raise ValueError("schedule entries must lie in [1, n_s]")
+        means = np.empty(len(counts), dtype=complex)
+    sampler = TimeSampler(series)
+    big_k = series.grid.K
+    table_re = np.ascontiguousarray(overlap_table.real).ravel()
+    table_im = np.ascontiguousarray(overlap_table.imag).ravel()
+    # a sample is weight * i sign(z_k) * (re + i im) = w_k (-im + i re)
+    signed_weight = sampler.weight * np.sign(series.grid.z_nodes)
+    total = np.complex128(0)
+    run_re = run_im = 0.0
+    for start in range(0, n_s, DRAW_BLOCK):
+        b = min(DRAW_BLOCK, n_s - start)
+        j = sampler.p_y.table.draw_batch(rng, b)
+        k = sampler.p_z.table.draw_batch(rng, b)
+        flat = j * big_k + k
+        re, im = table_re[flat], table_im[flat]
+        if noise_mode == "bernoulli":
+            re = np.where(rng.random(b) < (1 + re) / 2, 1.0, -1.0)
+            im = np.where(rng.random(b) < (1 + im) / 2, 1.0, -1.0)
+        elif noise_mode == "gaussian":
+            re += rng.standard_normal(b)
+            im += rng.standard_normal(b)
+        w = signed_weight[k]
+        z_re = np.negative(im * w, out=im)
+        z_im = np.multiply(re, w, out=re)
+        if schedule is None:
+            z = np.empty(b, dtype=complex)
+            z.real, z.imag = z_re, z_im
+            total += z.sum()
+            continue
+        # one sequential running sum over the whole stream
+        z_re[0] += run_re
+        z_im[0] += run_im
+        np.cumsum(z_re, out=z_re)
+        np.cumsum(z_im, out=z_im)
+        run_re, run_im = z_re[-1], z_im[-1]
+        inside = (counts > start) & (counts <= start + b)
+        at = counts[inside] - start - 1
+        means[inside] = (z_re[at] + 1j * z_im[at]) / counts[inside]
     if schedule is None:
-        return np.array(z.mean())
-    cs = np.cumsum(z)
-    counts = np.asarray(schedule, dtype=np.int64)
-    if counts.max() > n_s or counts.min() < 1:
-        raise ValueError("schedule entries must lie in [1, n_s]")
-    return cs[counts - 1] / counts
+        return np.array(total / n_s)
+    return means
 
 
 def exhaustive_mean(problem: Problem, config: KernelConfig) -> complex:

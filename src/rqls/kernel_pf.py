@@ -15,7 +15,6 @@ as it is built.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,15 +26,18 @@ PF_DENSE_QUBIT_GUARD = 10
 STRANG_CHUNK_ENTRIES = 1 << 20
 
 
-def trotter_number(f: float, tau: float, eps_pf: float) -> int:
-    """Smallest certified Trotter number: max(1, ceil(sqrt(f |tau|^3 / eps)))."""
+def trotter_number(f: float, tau, eps_pf: float):
+    """Smallest certified Trotter number: max(1, ceil(sqrt(f |tau|^3 / eps))).
+
+    An int for a scalar tau, an int64 array elementwise for an array.
+    """
     if f < 0:
         raise ValueError("f must be nonnegative")
     if eps_pf <= 0:
         raise ValueError("eps_pf must be positive")
-    if f == 0:
-        return 1
-    return max(1, math.ceil(math.sqrt(f * abs(tau) ** 3 / eps_pf)))
+    t = np.asarray(tau, dtype=float)
+    r = np.maximum(1, np.ceil(np.sqrt(f * np.abs(t) ** 3 / eps_pf))).astype(np.int64)
+    return int(r) if r.ndim == 0 else r
 
 
 @dataclass(frozen=True)

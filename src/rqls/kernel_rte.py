@@ -3,13 +3,19 @@
 Each of the r time segments exp(-i A tau / r) (unit Pauli weight A) is
 expanded in even Taylor orders n <= n_max; one LCU term is drawn per
 segment.  A drawn term is a product of n Pauli strings followed by a
-Pauli rotation exp(-i theta P), where theta carries the sign of both the
+Pauli rotation exp(-i theta Q), where theta carries the sign of both the
 segment time and the rotation term's coefficient; the n strings reduce
-to one phase-free Clifford Pauli prefix, with the remaining signs (i^n,
+to one phase-free Clifford Pauli prefix P, with the remaining signs (i^n,
 prefix coefficient signs, product phases) folded into a single
-per-sample unit-modulus scalar.  The
-estimator phase * alpha^r * <phi|U|psi> is exactly unbiased for
-<phi| (finite LCU)^r |psi>.
+per-sample unit-modulus scalar.  The estimator phase * alpha^r *
+<phi|U|psi> is exactly unbiased for <phi| (finite LCU)^r |psi>.
+
+Both samplers run one Pauli-frame fold.  Since P exp(-i theta Q) =
+exp(-i theta' Q) P, with theta' = -theta when P and Q anticommute, all
+prefixes move to the left: U = P_1 R_1 ... P_r R_r = i^e T R'_1 ... R'_r,
+with T the XOR of every prefix string and R'_s flipped when Q_s
+anticommutes with P_{s+1} ... P_r.  A sample is then one gather per
+segment and one for T.
 """
 
 from __future__ import annotations
@@ -21,13 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import (
+    _I_POWERS,
     PauliDecomposition,
     PauliString,
-    PhasedPauli,
     _popcount_array,
+    _product_exponent,
+    _scan,
     pauli_action,
-    pauli_product,
 )
+from .sampler import DRAW_BLOCK, AliasTable
 
 NMAX_UNDERFLOW_CLAMP = 150
 RTE_DENSE_QUBIT_GUARD = 10
@@ -43,6 +51,17 @@ class RTEInfeasibleError(ValueError):
             "bias condition unsatisfiable up to n_max="
             f"{NMAX_UNDERFLOW_CLAMP}: log bias prefactor ~ {log_prefactor:.3g} "
             f"({self.log10_prefactor:.3g} decades)"
+        )
+
+
+class RTEWeightOverflowError(ValueError):
+    """The RTE estimator weight alpha^r overflows a float."""
+
+    def __init__(self, log10_alpha_power_r: float):
+        self.log10_alpha_power_r = log10_alpha_power_r
+        super().__init__(
+            "RTE weight alpha^r overflows a float: "
+            f"log10 alpha^r = {log10_alpha_power_r:.6g}"
         )
 
 
@@ -65,8 +84,16 @@ class RTESegmentModel:
         return self.magnitudes / self.alpha
 
     @property
+    def log_alpha_power_r(self) -> float:
+        """Natural log of alpha^r; finite where alpha^r itself overflows."""
+        return self.r * math.log(self.alpha)
+
+    @property
     def alpha_power_r(self) -> float:
-        return self.alpha**self.r
+        try:
+            return self.alpha**self.r
+        except OverflowError:
+            raise RTEWeightOverflowError(self.log_alpha_power_r / math.log(10)) from None
 
 
 def segment_model(tau: float, r: int, n_max: int) -> RTESegmentModel:
@@ -110,10 +137,91 @@ class RTESegment:
 
 @dataclass(frozen=True)
 class RTEUnitary:
-    segments: tuple  # (RTESegment, ...), length r
     phase: complex  # accumulated unit-modulus scalar
     n_cp: int
     dense_unitary: np.ndarray
+    decomposition: PauliDecomposition
+    model: RTESegmentModel
+    draws: np.ndarray  # (4, r): prefix x and z masks, rotation term, order index
+
+    @property
+    def segments(self) -> tuple:
+        """(RTESegment, ...) in circuit order, rebuilt from the draws."""
+        n, terms, m = self.decomposition.n_qubits, self.decomposition.terms, self.model
+        return tuple(
+            RTESegment(PauliString(n, int(x), int(z)), terms[l][1],
+                       float(m.thetas[o]) * (1.0 if terms[l][0] >= 0 else -1.0),
+                       int(m.orders[o]))
+            for x, z, l, o in self.draws.T
+        )
+
+
+def _frames(d, model, r, n, rng):
+    """Draw n r-segment samples, in blocks, and the Pauli frame of each.
+
+    A block holds max(1, DRAW_BLOCK // r) samples and consumes randomness
+    in three alias draws: its orders (sample by sample, segments in order),
+    then its prefix strings in that same order, then its rotation strings.
+    Yields per block (e, tx, tz, scale, tan, rot, order_idx, cx, cz, cut):
+    per sample i^e, T and the product of cos theta; per segment (n, r)
+    tan theta', rotation term and order index; the running XORs of the
+    flat prefix masks, segment s's prefix strings being [cut[s], cut[s+1]).
+    """
+    nq = d.n_qubits
+    coeffs = np.array([c for c, _ in d.terms])
+    xs, zs = np.array([(p.x_mask, p.z_mask) for _, p in d.terms], dtype=np.int64).T
+    orders = AliasTable(model.probabilities)
+    terms = AliasTable(np.abs(coeffs) / np.abs(coeffs).sum())
+    extra = 1 + 2 * (coeffs < 0)  # a prefix string brings i (of i^n), -1 if c < 0
+    # the symplectic form pc(Q_x & P_z) + pc(Q_z & P_x) as one popcount, with
+    # Q packed as (x, z) and P as (z, x); the bit above them carries the sign
+    # of Q's coefficient, so an odd count flips the sign of tan(theta)
+    sign_bit = 1 << (2 * nq)
+    q_packed = (xs << nq) | zs | np.where(coeffs < 0, sign_bit, 0)
+    tan_pm = np.stack([np.tan(model.thetas), -np.tan(model.thetas)], axis=1).ravel()
+    step = max(1, DRAW_BLOCK // r)
+    for i in range(0, n, step):
+        m = min(step, n - i)
+        order_idx = orders.draw_batch(rng, m * r).reshape(m, r)
+        cut = _scan(np.add, model.orders[order_idx].ravel())
+        pre = terms.draw_batch(rng, int(cut[-1]))
+        rot = terms.draw_batch(rng, m * r).reshape(m, r)
+        bounds = cut[::r]
+        e, cx, cz = _product_exponent(xs[pre], zs[pre], bounds, extra[pre])
+        s0, s1 = bounds[:-1], bounds[1:]
+        # XOR of the prefixes after each segment
+        p_scan = (cz << nq) | cx
+        later = (p_scan[s1] | sign_bit)[:, None] ^ p_scan[cut[1:].reshape(m, r)]
+        later &= q_packed[rot]
+        tan = tan_pm[2 * order_idx + (_popcount_array(later) & 1)]
+        # cos is even, so R' = cos(theta) (I - i tan(theta') Q) and the
+        # cosines leave the fold as one product per sample
+        scale = np.cos(model.thetas)[order_idx].prod(axis=1)
+        yield (e, cx[s1] ^ cx[s0], cz[s1] ^ cz[s0], scale, tan, rot, order_idx,
+               cx, cz, cut)
+
+
+def _fold(d, rot_cols, tan_cols, tx, tz, scale, block) -> np.ndarray:
+    """T R'_1 ... R'_r block[i] for each sample i, block of shape (n, dim, m);
+    rot_cols and tan_cols are (r, n), one contiguous row per segment."""
+    n, dim, m = block.shape
+    src, phase = d.action_tables()
+    coef = -1j * phase
+    rows0 = (np.arange(n) * dim)[:, None]
+    v = np.array(block, dtype=complex, order="C")  # flat below is a view of v
+    flat = v.reshape(n * dim, m)
+    for rot, tan in zip(rot_cols[::-1], tan_cols[::-1]):
+        rows = np.take(src, rot, axis=0)
+        rows += rows0
+        g = np.take(flat, rows, axis=0)
+        c = np.take(coef, rot, axis=0)
+        c *= tan[:, None]
+        g *= c[..., None]
+        v += g
+    t_src, t_phase = pauli_action(d.n_qubits, tx, tz)
+    out = np.take(flat, t_src + rows0, axis=0)
+    out *= (t_phase * scale[:, None])[..., None]
+    return out
 
 
 def sample_rte_unitary(
@@ -122,52 +230,21 @@ def sample_rte_unitary(
     r: int,
     rng: np.random.Generator,
 ) -> RTEUnitary:
-    """Draw one r-segment RTE unitary (d must have unit Pauli weight)."""
+    """Draw one r-segment RTE unitary (d must have unit Pauli weight): the
+    frame fold of a single sample, applied to the identity columns."""
     if d.n_qubits > RTE_DENSE_QUBIT_GUARD:
         raise ValueError(f"n_qubits={d.n_qubits} exceeds dense guard")
-    coeffs = np.array([c for c, _ in d.terms])
-    p_pauli = np.abs(coeffs)
-    p_pauli = p_pauli / p_pauli.sum()
-    cdf_pauli = np.cumsum(p_pauli)
-    cdf_n = np.cumsum(model.probabilities)
-    identity = PauliString(d.n_qubits, 0, 0)
-    dim = 1 << d.n_qubits
-
-    segments = []
-    rot_terms = []
-    phase = complex(1.0)
-    for _ in range(r):
-        i_n = int(np.searchsorted(cdf_n, rng.random(), side="right"))
-        n = int(model.orders[i_n])
-        idx = np.searchsorted(cdf_pauli, rng.random(n + 1), side="right")
-        prefix = PhasedPauli(1, identity)
-        for l in idx[:-1]:
-            prefix = pauli_product(prefix, PhasedPauli(1, d.terms[l][1]))
-        c_rot, rot = d.terms[idx[-1]]
-        seg_phase = (1, 1j, -1, -1j)[n % 4] * prefix.phase
-        for l in idx[:-1]:
-            if coeffs[l] < 0:
-                seg_phase = -seg_phase
-        phase *= seg_phase
-        # the rotation coefficient's sign lives inside the rotation angle
-        theta = float(model.thetas[i_n]) * (1.0 if c_rot >= 0 else -1.0)
-        segments.append(RTESegment(prefix.string, rot, theta, n))
-        rot_terms.append(idx[-1])
-    # U = prod_s prefix_s exp(-i theta_s P_s), built right to left by row
-    # gathers: P M = phase[:, None] * M[src]
-    rot_src, rot_phase = d.action_tables()
-    pre_src, pre_phase = pauli_action(
-        d.n_qubits,
-        [seg.prefix.x_mask for seg in segments],
-        [seg.prefix.z_mask for seg in segments],
+    e, tx, tz, scale, tan, rot, order_idx, cx, cz, cut = next(_frames(d, model, r, 1, rng))
+    out = _fold(d, rot.T, tan.T, tx, tz, scale,
+                np.eye(1 << d.n_qubits, dtype=complex)[None])
+    # the scalar keeps the phases within each segment's prefix; the phase
+    # of multiplying the canonical segment prefixes belongs to the matrix
+    pre_x, pre_z = cx[cut[1:]] ^ cx[cut[:-1]], cz[cut[1:]] ^ cz[cut[:-1]]
+    e_seg = int(_product_exponent(pre_x, pre_z, np.array([0, r]))[0][0])
+    return RTEUnitary(
+        complex(_I_POWERS[(e[0] - e_seg) & 3]), r, _I_POWERS[e_seg] * out[0], d, model,
+        np.stack([pre_x, pre_z, rot[0], order_idx[0]]),
     )
-    dense = np.eye(dim, dtype=complex)
-    for i in range(r - 1, -1, -1):
-        l, theta = rot_terms[i], segments[i].theta
-        rotated = rot_phase[l][:, None] * dense[rot_src[l]]
-        dense = math.cos(theta) * dense - 1j * math.sin(theta) * rotated
-        dense = pre_phase[i][:, None] * dense[pre_src[i]]
-    return RTEUnitary(tuple(segments), phase, r, dense)
 
 
 def rte_finite_lcu(d: PauliDecomposition, model: RTESegmentModel) -> np.ndarray:
@@ -215,104 +292,25 @@ def sample_rte_overlaps_batch(
     """Vectorized draw of phase * <phi|U|psi> for n_samples RTE unitaries.
 
     Returns a complex array; multiplying by alpha^r gives the unbiased
-    estimator of <phi| (finite LCU)^r |psi>.  Same distribution as the
-    per-sample path, organized for throughput: the Pauli prefixes are
-    reduced symplectically and the r segment matrices are folded with
-    batched pairwise products.
+    estimator of <phi| (finite LCU)^r |psi>.  Same distribution as
+    `sample_rte_unitary`: the frame fold applied to psi, drawn as in
+    `_frames`, with one batched rotation step per segment.
     """
     if d.n_qubits > RTE_DENSE_QUBIT_GUARD:
         raise ValueError(f"n_qubits={d.n_qubits} exceeds dense guard")
-    dim = 1 << d.n_qubits
-    coeffs = np.array([c for c, _ in d.terms])
-    xs = np.array([p.x_mask for _, p in d.terms], dtype=np.int64)
-    zs = np.array([p.z_mask for _, p in d.terms], dtype=np.int64)
-    signs = np.sign(coeffs)
-    cdf_pauli = np.cumsum(np.abs(coeffs) / np.abs(coeffs).sum())
-    cdf_n = np.cumsum(model.probabilities)
-
-    shape = (n_samples, r)
-    order_idx = np.searchsorted(cdf_n, rng.random(shape), side="right")
-    orders = model.orders[order_idx]
-    sign_parity = (orders % 4) // 2  # i^n = (-1)^(n/2) for even n
-
-    # draw all prefix Paulis flat, sized by the orders actually drawn
-    flat_n = orders.ravel()
-    ends = np.cumsum(flat_n)
-    starts = ends - flat_n
-    total = int(ends[-1]) if len(ends) else 0
-    draw = np.searchsorted(cdf_pauli, rng.random(total), side="right")
-
-    # per-segment coefficient-sign parity via a cumulative XOR scan
-    neg = (signs[draw] < 0).astype(np.int64)
-    cum_neg = np.concatenate([[0], np.cumsum(neg)])
-    sign_parity = sign_parity + (cum_neg[ends] - cum_neg[starts]).reshape(shape)
-
-    # reduce each segment's Pauli sequence to (mask pair, phase exponent of i)
-    acc_x = np.zeros(n_samples * r, dtype=np.int64)
-    acc_z = np.zeros(n_samples * r, dtype=np.int64)
-    acc_e = np.zeros(n_samples * r, dtype=np.int64)
-
-    def fold_in(seg_idx, bx, bz):
-        ax, az = acc_x[seg_idx], acc_z[seg_idx]
-        cx, cz = ax ^ bx, az ^ bz
-        e = (
-            _popcount_array(ax & az)
-            + _popcount_array(bx & bz)
-            - _popcount_array(cx & cz)
-            + 2 * _popcount_array(az & bx)
-        )
-        acc_x[seg_idx] = cx
-        acc_z[seg_idx] = cz
-        acc_e[seg_idx] += e
-
-    # n = 2 dominates; fold its two Paulis in one vectorized product
-    two = np.nonzero(flat_n == 2)[0]
-    if len(two):
-        a, b = draw[starts[two]], draw[starts[two] + 1]
-        acc_x[two] = xs[a] ^ xs[b]
-        acc_z[two] = zs[a] ^ zs[b]
-        acc_e[two] = (
-            _popcount_array(xs[a] & zs[a])
-            + _popcount_array(xs[b] & zs[b])
-            - _popcount_array(acc_x[two] & acc_z[two])
-            + 2 * _popcount_array(zs[a] & xs[b])
-        )
-    # the rare higher orders go position by position on a shrinking subset
-    high = np.nonzero(flat_n >= 4)[0]
-    pos = 0
-    while len(high):
-        d_idx = draw[starts[high] + pos]
-        fold_in(high, xs[d_idx], zs[d_idx])
-        pos += 1
-        high = high[flat_n[high] > pos]
-
-    acc_x = acc_x.reshape(shape)
-    acc_z = acc_z.reshape(shape)
-    phases = (1j ** (acc_e.reshape(shape) % 4)) * np.where(
-        sign_parity % 2 == 1, -1.0, 1.0
-    )
-
-    rot_idx = np.searchsorted(cdf_pauli, rng.random(shape), side="right")
-    src, phase_tab = d.action_tables()
-
-    cos_t = np.cos(model.thetas)[order_idx]
-    sin_t = np.sin(model.thetas)[order_idx] * signs[rot_idx]
-    nontrivial = (acc_x != 0) | (acc_z != 0)
-
-    # fold the segments onto psi right to left, one batched step per segment:
-    # v <- prefix @ exp(-i theta P_rot) @ v
-    v = np.broadcast_to(psi.astype(complex), (n_samples, dim)).copy()
-    for seg in range(r - 1, -1, -1):
-        rot = rot_idx[:, seg]
-        pv = phase_tab[rot] * np.take_along_axis(v, src[rot], axis=1)
-        v = cos_t[:, seg, None] * v - 1j * sin_t[:, seg, None] * pv
-        sel = np.nonzero(nontrivial[:, seg])[0]
-        if len(sel):
-            pre_src, pre_phase = pauli_action(
-                d.n_qubits, acc_x[sel, seg], acc_z[sel, seg]
-            )
-            v[sel] = pre_phase * np.take_along_axis(v[sel], pre_src, axis=1)
-    return phases.prod(axis=1) * (v @ phi.conj())
+    e, tx, tz = (np.empty(n_samples, dtype=np.int64) for _ in range(3))
+    scale, tan_cols = np.empty(n_samples), np.empty((r, n_samples))
+    rot_cols = np.empty((r, n_samples), dtype=np.int64)
+    i = 0
+    for e_b, tx_b, tz_b, scale_b, tan, rot, *_ in _frames(d, model, r, n_samples, rng):
+        at = slice(i, i + len(e_b))
+        e[at], tx[at], tz[at], scale[at] = e_b, tx_b, tz_b, scale_b
+        tan_cols[:, at], rot_cols[:, at] = tan.T, rot.T
+        i = at.stop
+    psi = np.asarray(psi, dtype=complex)
+    out = _fold(d, rot_cols, tan_cols, tx, tz, scale,
+                np.broadcast_to(psi[:, None], (n_samples, len(psi), 1)))
+    return _I_POWERS[e] * (out[:, :, 0] @ np.conj(phi))
 
 
 def rte_bias_log(

@@ -28,10 +28,14 @@ def _popcount(v: int) -> int:
 
 
 def _popcount_array(v: np.ndarray) -> np.ndarray:
-    """Elementwise popcount of a nonnegative integer array."""
+    """Elementwise popcount of a nonnegative integer array, as int64.
+
+    int64 in both branches: `np.bitwise_count` returns uint8, on which
+    sign arithmetic such as 1 - 2 * pc wraps around.
+    """
     if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(v)
-    out = np.zeros_like(v)  # numpy < 2.0 has no bitwise_count
+        return np.bitwise_count(v).astype(np.int64)
+    out = np.zeros(np.shape(v), dtype=np.int64)  # numpy < 2.0 has no bitwise_count
     w = v.copy()
     while w.any():
         out += w & 1
@@ -148,6 +152,35 @@ def pauli_product(a: PhasedPauli, b: PhasedPauli) -> PhasedPauli:
     phase = a.phase * b.phase * (1, 1j, -1, -1j)[e]
     phase = {1: 1, -1: -1, 1j: 1j, -1j: -1j}[complex(round(phase.real), round(phase.imag))]
     return PhasedPauli(phase, PauliString(sa.n_qubits, cx, cz))
+
+
+def _scan(op, v) -> np.ndarray:
+    """Scan behind a leading 0: out[k] = v[0] op ... op v[k-1]."""
+    out = np.zeros(len(v) + 1, dtype=np.int64)
+    op.accumulate(v, out=out[1:])
+    return out
+
+
+def _product_exponent(x, z, bounds, extra=0):
+    """Phase exponent of ordered products of canonical Pauli strings.
+
+    Group g is the strings k in [bounds[g], bounds[g+1]).  Their product,
+    left to right, is i^e[g] times the canonical string of their XOR: the
+    `pauli_product` rule telescoped, e = sum_k pc(x_k & z_k) - pc(X & Z)
+    + 2 sum_k pc(Z_<k & x_k), with Z_<k the XOR of the group's z masks
+    before k.  `extra` adds a per-string exponent.  Returns (e mod 4, cx, cz)
+    with cx, cz the running XORs of x and z over all groups (`_scan`).
+    """
+    cx, cz = _scan(np.bitwise_xor, x), _scan(np.bitwise_xor, z)
+    # pc(a & x) mod 2 is linear in a, so the running XOR from before the
+    # group's start comes out of the last sum as one term per group
+    per = _popcount_array(x & z) + extra + 2 * (_popcount_array(cz[:-1] & x) & 1)
+    acc = _scan(np.add, per)
+    s0, s1 = bounds[:-1], bounds[1:]
+    tx, tz = cx[s1] ^ cx[s0], cz[s1] ^ cz[s0]
+    e = (acc[s1] - acc[s0] - _popcount_array(tx & tz)
+         + 2 * _popcount_array(cz[s0] & tx))
+    return e & 3, cx, cz
 
 
 @dataclass(frozen=True)

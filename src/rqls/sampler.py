@@ -15,6 +15,12 @@ import numpy as np
 
 from .fourier import FourierSeries
 
+# draws per block in the batched samplers: a block's int64 and float64
+# arrays are 64 KiB, below glibc's initial 128 KiB mmap threshold, so they
+# come from the heap and are reused from block to block instead of being
+# mapped and faulted in afresh on every call
+DRAW_BLOCK = 8192
+
 
 def sample_rng(master_seed: int, sample_index: int) -> np.random.Generator:
     """Deterministic per-sample stream keyed by (master_seed, sample_index)."""

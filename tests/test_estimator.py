@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from rqls.estimator import (
 from rqls.fourier import build_series
 from rqls.pauli import commutator_constant, pauli_decompose
 from rqls.randmat import gen_matrix
+from rqls.sampler import DRAW_BLOCK, TimeSampler
 from rqls.simulator import StateVector
 
 
@@ -228,6 +230,85 @@ def test_monte_carlo_mean_schedule(problem):
         monte_carlo_mean(
             problem.series, table, 100, "laplace", np.random.default_rng(6)
         )
+
+
+def unblocked_samples(series, overlap_table, n_s, noise_mode, rng):
+    """The n_s estimator samples of the unblocked Monte Carlo path, drawn
+    all at once: j, k, then the real and the imaginary shot noise."""
+    sampler = TimeSampler(series)
+    j, k, _, omega = sampler.sample_batch(rng, n_s)
+    v = overlap_table[j, k]
+    if noise_mode == "bernoulli":
+        re = np.where(rng.random(n_s) < (1 + v.real) / 2, 1.0, -1.0)
+        im = np.where(rng.random(n_s) < (1 + v.imag) / 2, 1.0, -1.0)
+    elif noise_mode == "gaussian":
+        re = v.real + rng.standard_normal(n_s)
+        im = v.imag + rng.standard_normal(n_s)
+    else:
+        re, im = v.real, v.imag
+    return sampler.weight * omega * (re + 1j * im)
+
+
+def unblocked_mean(series, overlap_table, n_s, noise_mode, rng, schedule=None):
+    z = unblocked_samples(series, overlap_table, n_s, noise_mode, rng)
+    if schedule is None:
+        return np.array(z.mean())
+    counts = np.asarray(schedule, dtype=np.int64)
+    return np.cumsum(z)[counts - 1] / counts
+
+
+@pytest.mark.parametrize("noise_mode", ["exact", "gaussian", "bernoulli"])
+def test_monte_carlo_mean_is_unblocked_within_one_block(problem, noise_mode):
+    table = overlap_table_exact(problem)
+    for n_s in (1, 777, DRAW_BLOCK):
+        schedule = sorted({1, min(10, n_s), n_s // 3 + 1, n_s})
+        for sched in (None, schedule):
+            got = monte_carlo_mean(problem.series, table, n_s, noise_mode,
+                                   np.random.default_rng(n_s), sched)
+            want = unblocked_mean(problem.series, table, n_s, noise_mode,
+                                  np.random.default_rng(n_s), sched)
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("noise_mode", ["exact", "bernoulli"])
+def test_monte_carlo_mean_blocks_form_one_stream(problem, noise_mode):
+    # the blocked stream is the unblocked samples of each block, in order;
+    # its running means at counts on both sides of block edges are those
+    # of the concatenated stream
+    table = overlap_table_exact(problem)
+    n_s = 2 * DRAW_BLOCK + 123
+    rng = np.random.default_rng(8)
+    z = np.concatenate([
+        unblocked_samples(problem.series, table, min(DRAW_BLOCK, n_s - i), noise_mode, rng)
+        for i in range(0, n_s, DRAW_BLOCK)
+    ])
+    schedule = [1, DRAW_BLOCK - 1, DRAW_BLOCK, DRAW_BLOCK + 1, 2 * DRAW_BLOCK,
+                2 * DRAW_BLOCK + 1, n_s]
+    got = monte_carlo_mean(problem.series, table, n_s, noise_mode,
+                           np.random.default_rng(8), schedule)
+    counts = np.array(schedule)
+    assert np.array_equal(got, np.cumsum(z)[counts - 1] / counts)
+    mean = monte_carlo_mean(problem.series, table, n_s, noise_mode, np.random.default_rng(8))
+    assert abs(complex(mean) - z.mean()) <= 1e-12 * np.abs(z).max()
+
+
+def test_monte_carlo_mean_memory_is_one_block(problem):
+    # the peak is the split table plus a fixed number of block-sized
+    # temporaries, the same at 50,000 and at 500,000 samples
+    table = overlap_table_exact(problem)
+    block_bytes = 8 * DRAW_BLOCK
+    for sched in (None, [100, 1000, 10_000, 50_000]):
+        peaks = []
+        for n_s in (50_000, 500_000):
+            tracemalloc.start()
+            try:
+                monte_carlo_mean(problem.series, table, n_s, "bernoulli",
+                                 np.random.default_rng(1), sched)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= table.nbytes + 32 * block_bytes, peaks
+        assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_run_solver_exact_kernel(problem):

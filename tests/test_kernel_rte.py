@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rqls.kernel_rte import (
     NMAX_UNDERFLOW_CLAMP,
     RTEInfeasibleError,
+    RTEWeightOverflowError,
     choose_nmax,
     rte_bias_bound,
     rte_bias_log,
@@ -16,7 +19,14 @@ from rqls.kernel_rte import (
     sample_rte_unitary,
     segment_model,
 )
-from rqls.pauli import pauli_decompose
+from rqls.pauli import (
+    PauliDecomposition,
+    PauliString,
+    _popcount_array,
+    pauli_action,
+    pauli_decompose,
+)
+from rqls.sampler import DRAW_BLOCK, AliasTable
 from rqls.simulator import exact_evolution
 
 
@@ -54,6 +64,20 @@ def test_alpha_power_r_bound():
     for tau, r in [(3.0, 4), (-5.0, 7), (10.0, 12)]:
         model = segment_model(tau, r, 30)
         assert model.alpha_power_r <= math.exp(tau**2 / r) + 1e-9
+
+
+def test_alpha_power_r_overflow_is_typed():
+    # t_max = 5580 is the paper's; r = t_max puts tau / r = 1
+    model = segment_model(5580.0, 5580, 20)
+    assert model.log_alpha_power_r == pytest.approx(5580 * math.log(model.alpha))
+    with pytest.raises(RTEWeightOverflowError, match=r"log10 alpha\^r = 1661\.\d") as exc:
+        model.alpha_power_r
+    assert isinstance(exc.value, ValueError)
+    assert exc.value.log10_alpha_power_r == pytest.approx(
+        model.log_alpha_power_r / math.log(10)
+    )
+    small = segment_model(80.0, 100, 20)
+    assert small.log_alpha_power_r == pytest.approx(math.log(small.alpha_power_r))
 
 
 def test_odd_nmax_rounds_up():
@@ -248,3 +272,141 @@ def test_choose_nmax_infeasible():
     assert exc.value.log10_prefactor == pytest.approx(
         t_max / math.log(10), rel=0.01
     )
+
+
+# ---------------------------------------------------------------------------
+# the frame fold against the per-segment fold it replaced, draw for draw
+
+def documented_draws(d, model, r, n, rng):
+    """(order index (n, r), flat prefix terms, rotation terms (n, r)),
+    drawn in the order the batch sampler documents: blocks of
+    max(1, DRAW_BLOCK // r) samples, each block its orders, then its prefix
+    strings, then its rotation strings."""
+    coeffs = np.array([c for c, _ in d.terms])
+    terms = AliasTable(np.abs(coeffs) / np.abs(coeffs).sum())
+    orders = AliasTable(model.probabilities)
+    step = max(1, DRAW_BLOCK // r)
+    order_idx, pre, rot = [], [], []
+    for i in range(0, n, step):
+        m = min(step, n - i)
+        o = orders.draw_batch(rng, m * r)
+        pre.append(terms.draw_batch(rng, int(model.orders[o].sum())))
+        rot.append(terms.draw_batch(rng, m * r).reshape(m, r))
+        order_idx.append(o.reshape(m, r))
+    return np.concatenate(order_idx), np.concatenate(pre), np.concatenate(rot)
+
+
+def per_segment_fold(d, model, r, psi, phi, order_idx, draw, rot_idx):
+    """The per-segment fold: each segment's prefix strings reduced to one
+    string by `fold_in`, then prefix and rotation applied right to left."""
+    n_samples = order_idx.shape[0]
+    dim = 1 << d.n_qubits
+    coeffs = np.array([c for c, _ in d.terms])
+    xs = np.array([p.x_mask for _, p in d.terms], dtype=np.int64)
+    zs = np.array([p.z_mask for _, p in d.terms], dtype=np.int64)
+    signs = np.sign(coeffs)
+    shape = (n_samples, r)
+    orders = model.orders[order_idx]
+    sign_parity = (orders % 4) // 2  # i^n = (-1)^(n/2) for even n
+    flat_n = orders.ravel()
+    ends = np.cumsum(flat_n)
+    starts = ends - flat_n
+    neg = (signs[draw] < 0).astype(np.int64)
+    cum_neg = np.concatenate([[0], np.cumsum(neg)])
+    sign_parity = sign_parity + (cum_neg[ends] - cum_neg[starts]).reshape(shape)
+    acc_x = np.zeros(n_samples * r, dtype=np.int64)
+    acc_z = np.zeros(n_samples * r, dtype=np.int64)
+    acc_e = np.zeros(n_samples * r, dtype=np.int64)
+
+    def fold_in(seg_idx, bx, bz):
+        ax, az = acc_x[seg_idx], acc_z[seg_idx]
+        cx, cz = ax ^ bx, az ^ bz
+        e = (
+            _popcount_array(ax & az)
+            + _popcount_array(bx & bz)
+            - _popcount_array(cx & cz)
+            + 2 * _popcount_array(az & bx)
+        )
+        acc_x[seg_idx] = cx
+        acc_z[seg_idx] = cz
+        acc_e[seg_idx] += e
+
+    live = np.nonzero(flat_n > 0)[0]
+    pos = 0
+    while len(live):
+        d_idx = draw[starts[live] + pos]
+        fold_in(live, xs[d_idx], zs[d_idx])
+        pos += 1
+        live = live[flat_n[live] > pos]
+    acc_x = acc_x.reshape(shape)
+    acc_z = acc_z.reshape(shape)
+    phases = (1j ** (acc_e.reshape(shape) % 4)) * np.where(
+        sign_parity % 2 == 1, -1.0, 1.0
+    )
+    src, phase_tab = d.action_tables()
+    cos_t = np.cos(model.thetas)[order_idx]
+    sin_t = np.sin(model.thetas)[order_idx] * signs[rot_idx]
+    v = np.broadcast_to(psi.astype(complex), (n_samples, dim)).copy()
+    for seg in range(r - 1, -1, -1):
+        rot = rot_idx[:, seg]
+        pv = phase_tab[rot] * np.take_along_axis(v, src[rot], axis=1)
+        v = cos_t[:, seg, None] * v - 1j * sin_t[:, seg, None] * pv
+        pre_src, pre_phase = pauli_action(d.n_qubits, acc_x[:, seg], acc_z[:, seg])
+        v = pre_phase * np.take_along_axis(v, pre_src, axis=1)
+    return phases.prod(axis=1) * (v @ phi.conj())
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3])
+@pytest.mark.parametrize("tau, r", [(1.0, 3), (20.0, 100), (80.0, 100), (5.0, 1)])
+def test_frame_fold_matches_per_segment_fold(n_qubits, tau, r):
+    d = random_unit_decomposition(n_qubits, np.random.default_rng(20 + n_qubits))
+    model = segment_model(tau, r, 20)
+    rng = np.random.default_rng(21)
+    dim = 1 << n_qubits
+    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    phi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    psi /= np.linalg.norm(psi)
+    phi /= np.linalg.norm(phi)
+    # more samples than one draw block at r = 100
+    n = 200
+    got = sample_rte_overlaps_batch(d, model, r, psi, phi, n, np.random.default_rng(22))
+    draws = documented_draws(d, model, r, n, np.random.default_rng(22))
+    want = per_segment_fold(d, model, r, psi, phi, *draws)
+    assert np.abs(got - want).max() < 1e-12
+
+
+@st.composite
+def decompositions(draw):
+    n = draw(st.integers(1, 3))
+    strings = draw(st.lists(st.tuples(st.integers(0, (1 << n) - 1),
+                                      st.integers(0, (1 << n) - 1)),
+                            min_size=1, max_size=8, unique=True))
+    coeffs = draw(st.lists(st.floats(0.05, 1.0) | st.floats(-1.0, -0.05),
+                           min_size=len(strings), max_size=len(strings)))
+    terms = tuple((c, PauliString(n, x, z)) for c, (x, z) in zip(coeffs, strings))
+    return PauliDecomposition(n, terms).rescaled()
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=decompositions(), tau=st.floats(-6.0, 6.0), r=st.integers(1, 6),
+       n_max=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+def test_unitary_is_ordered_product_of_drawn_terms(d, tau, r, n_max, seed):
+    """phase * U equals the product, segment by segment, of
+    i^n (sign c_l P_l for each prefix string) exp(-i theta Q) as dense
+    matrices, built from the documented draws."""
+    model = segment_model(tau, r, n_max)
+    u = sample_rte_unitary(d, model, r, np.random.default_rng(seed))
+    order_idx, pre, rot = documented_draws(d, model, r, 1, np.random.default_rng(seed))
+    dim = 1 << d.n_qubits
+    mats = [c / abs(c) * p.to_matrix() for c, p in d.terms]
+    product = np.eye(dim, dtype=complex)
+    k = 0
+    for o, l in zip(order_idx[0], rot[0]):
+        n = int(model.orders[o])
+        for m in pre[k:k + n]:
+            product = product @ (1j * mats[m])
+        k += n
+        theta = model.thetas[o] * np.sign(d.terms[l][0])
+        product = product @ (math.cos(theta) * np.eye(dim)
+                             - 1j * math.sin(theta) * d.terms[l][1].to_matrix())
+    assert np.abs(u.phase * u.dense_unitary - product).max() < 1e-12

@@ -6,12 +6,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rqls import kernel_pf
 from rqls.estimator import KernelConfig, Problem, overlap_table_pf
 from rqls.fourier import build_series
 from rqls.kernel_pf import build_pf, step_rotations, strang_unitaries
-from rqls.pauli import _popcount_array, pauli_decompose
+from rqls.pauli import (
+    PauliString,
+    PhasedPauli,
+    _popcount_array,
+    _product_exponent,
+    pauli_decompose,
+    pauli_product,
+)
 from rqls.randmat import gen_matrix
 from rqls.simulator import StateVector
 
@@ -90,15 +99,36 @@ def test_build_pf_is_single_element_batch():
     assert np.array_equal(plan.dense_unitary, strang_unitaries(d, [-2.3], [7])[0])
 
 
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 4), data=st.data())
+def test_product_exponent_matches_pauli_product(n, data):
+    # groups of canonical strings, multiplied left to right
+    string = st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))
+    groups = data.draw(st.lists(st.lists(string, max_size=7), min_size=1, max_size=5))
+    flat = [s for g in groups for s in g]
+    x = np.array([s[0] for s in flat], dtype=np.int64)
+    z = np.array([s[1] for s in flat], dtype=np.int64)
+    bounds = np.cumsum([0] + [len(g) for g in groups])
+    e, cx, cz = _product_exponent(x, z, bounds)
+    for g, e_g, lo, hi in zip(groups, e, bounds[:-1], bounds[1:]):
+        acc = PhasedPauli(1, PauliString(n, 0, 0))
+        for sx, sz in g:
+            acc = pauli_product(acc, PhasedPauli(1, PauliString(n, sx, sz)))
+        assert acc.phase == (1, 1j, -1, -1j)[e_g]
+        assert (cx[hi] ^ cx[lo], cz[hi] ^ cz[lo]) == (acc.string.x_mask, acc.string.z_mask)
+
+
 def test_popcount_fallback_matches_bitwise_count(monkeypatch):
     if not hasattr(np, "bitwise_count"):
         pytest.skip("numpy without bitwise_count: the fallback is the only path")
     v = np.random.default_rng(11).integers(0, 2**62, size=1000, dtype=np.int64)
     v[:3] = [0, 1, 2**62 - 1]
     expected = np.bitwise_count(v)
+    assert _popcount_array(v).dtype == np.int64  # bitwise_count gives uint8
     monkeypatch.delattr(np, "bitwise_count")
     got = _popcount_array(v)
     assert np.array_equal(got, expected)
+    assert got.dtype == np.int64
 
 
 def per_pair_reference(problem, config, pairs):
@@ -152,6 +182,41 @@ def test_overlap_table_pf_matches_per_pair_reference(make_problem, config):
     ref = per_pair_reference(problem, config, pairs)
     got = np.array([table[j, k] for j, k in pairs])
     assert np.abs(got - ref).max() < 1e-12
+
+
+def scalar_r(config, tau):
+    """The r policies evaluated one Python float at a time."""
+    if config.kernel == "exact":
+        return 1
+    if config.r_fixed > 0:
+        return config.r_fixed
+    if config.r_quadratic > 0:
+        r = max(1, math.ceil(config.r_quadratic * tau * tau))
+        if config.kernel == "rte":
+            r = max(r, math.ceil(abs(tau)))
+        return r
+    if config.f == 0:
+        return 1
+    return max(1, math.ceil(math.sqrt(config.f * abs(tau) ** 3 / config.eps_pf)))
+
+
+@pytest.mark.parametrize("make_problem", [estimator_problem, criterion_7_problem])
+@pytest.mark.parametrize("config", [
+    KernelConfig("exact"),
+    KernelConfig("pf", r_fixed=5),
+    KernelConfig("pf", r_quadratic=0.1),
+    KernelConfig("rte", r_quadratic=0.01, n_max=4),
+    KernelConfig("pf", f=0.37, eps_pf=1e-3),
+])
+def test_r_for_array_matches_scalar(make_problem, config):
+    grid = make_problem().series.grid
+    taus = np.multiply.outer(grid.y_nodes, grid.z_nodes)
+    rs = config.r_for(taus)
+    assert rs.dtype == np.int64 and rs.shape == taus.shape
+    want = [scalar_r(config, float(t)) for t in taus.ravel()]
+    assert rs.ravel().tolist() == want
+    assert [config.r_for(float(t)) for t in taus.ravel()[::97]] == want[::97]
+    assert all(type(config.r_for(float(t))) is int for t in taus.ravel()[:5])
 
 
 def test_overlap_table_pf_memory_is_table_plus_one_chunk(monkeypatch):
