@@ -291,6 +291,13 @@ def solve_cmd(ctx, matrix_path, n_qubits, kappa, kappa_star, eps_t, eps_d,
             "--kernel rte also needs --n-max)"
         ) from exc
     report = run_solver(problem, cfg, n_samples, noise, seed)
+    if report.diagnostics["certified"] is False:
+        click.echo(
+            "warning: the spectrum of A/lam leaves the series domain "
+            f"[1/kappa_tilde, 1] (kappa_tilde = {problem.series.kappa_tilde:.6g}); "
+            "kappa_star is below the condition number of A, so the estimate "
+            "is not certified", err=True,
+        )
     config = {"command": "solve", "matrix": matrix_path, "n_qubits": n_qubits,
               "kappa": kappa, "kappa_star": kappa_star, "eps_t": eps_t,
               "eps_d": eps_d, "kernel": kernel, "r": r_fixed,

@@ -9,6 +9,7 @@ controlled by the bounds below and statistical error by Hoeffding.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -16,20 +17,28 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fourier import SQRT_2PI, FourierSeries
-from .kernel_pf import build_pf, strang_overlaps, trotter_number
+from .kernel_pf import strang_overlaps, trotter_number
 from .kernel_rte import (
     RTEInfeasibleError,
+    _frame_overlaps,
     choose_nmax,
     rte_bias_bound,
-    sample_rte_unitary,
     segment_model,
 )
-from .pauli import PauliDecomposition, materialize
+from .pauli import _I_POWERS, PauliDecomposition, materialize
 from .sampler import DRAW_BLOCK, TimeSampler, sample_rng
-from .simulator import StateVector, exact_evolution, hadamard_shot, spectrum
+from .simulator import (
+    EXACT_EVOLUTION_QUBIT_GUARD,
+    NOISE_MODES,
+    StateVector,
+    spectrum,
+)
 
 DESK_SCALE_LIMIT = 1e15
 PF_R_CAP = 10**9
+# relative slack of the spectrum certificate: randmat puts an eigenvalue
+# exactly on the edge 1/kappa, which eigh returns to within roundoff
+CERTIFY_RTOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -292,18 +301,71 @@ def rte_resources(
 
 
 # ---------------------------------------------------------------------------
-# the Monte Carlo loop
+# the chunked Monte Carlo estimator
 
-def _kernel_unitary(problem, config, tau, r, rng):
-    """(dense unitary, extra scalar prefactor) for one sample."""
+def _exact_overlaps(problem: Problem, taus) -> np.ndarray:
+    """<phi| e^{-i (A/lam) tau} |psi> for an array of taus, same shape, from
+    the cached spectrum of A/lam."""
     d = problem.unit_decomposition
+    if d.n_qubits > EXACT_EVOLUTION_QUBIT_GUARD:
+        raise ValueError(f"n_qubits={d.n_qubits} exceeds dense guard")
+    evals, evecs = spectrum(d)
+    w = (problem.phi.amplitudes.conj() @ evecs) * (
+        evecs.conj().T @ problem.psi.amplitudes
+    )
+    return np.exp(-1j * np.multiply.outer(taus, evals)) @ w
+
+
+def certify_spectrum(problem: Problem) -> bool | None:
+    """Whether every eigenvalue of A/lam has 1/kappa_tilde <= |x| <= 1, the
+    domain on which the series inverts x; None above the dense guard."""
+    d = problem.unit_decomposition
+    if d.n_qubits > EXACT_EVOLUTION_QUBIT_GUARD:
+        return None
+    mags = np.abs(spectrum(d)[0])
+    kt = problem.series.kappa_tilde
+    return bool(mags.min() * kt >= 1 - CERTIFY_RTOL and mags.max() <= 1 + CERTIFY_RTOL)
+
+
+def _sample_overlaps(problem, config, taus, rs, at, rng):
+    """(overlap, extra prefactor or None) of each sample of a chunk, sample
+    i being at distinct grid pair at[i] of time taus[at[i]].
+
+    exact and pf evaluate each pair once.  rte draws each pair's samples
+    (in chunk order) in one frame fold, pair by pair in the order of taus;
+    the phase i^e and alpha^r of a sample go into its extra prefactor."""
     if config.kernel == "exact":
-        return exact_evolution(d, tau), 1.0 + 0j
+        return _exact_overlaps(problem, taus)[at], None
+    d = problem.unit_decomposition
+    psi, phi = problem.psi.amplitudes, problem.phi.amplitudes
     if config.kernel == "pf":
-        return build_pf(d, tau, r).dense_unitary, 1.0 + 0j
-    model = segment_model(tau, r, config.n_max)
-    u = sample_rte_unitary(d, model, r, rng)
-    return u.dense_unitary, u.phase * model.alpha_power_r
+        return strang_overlaps(d, taus, rs, psi, phi)[at], None
+    v, extra = np.empty((2, len(at)), dtype=complex)
+    by_pair = np.argsort(at, kind="stable")
+    first = 0
+    for tau, r, m in zip(taus.tolist(), rs.tolist(), np.bincount(at).tolist()):
+        rows = by_pair[first:first + m]
+        first += m
+        model = segment_model(tau, r, config.n_max)
+        e, raw = _frame_overlaps(d, model, r, psi, phi, m, rng)
+        v[rows], extra[rows] = raw, _I_POWERS[e] * model.alpha_power_r
+    return v, extra
+
+
+def _shots(v: np.ndarray, noise_mode: str, rng: np.random.Generator):
+    """One Hadamard-test shot each for Re v and Im v, elementwise, as
+    `hadamard_shot` draws them: all real parts, then all imaginary parts."""
+    re, im = v.real, v.imag
+    worst = max(np.abs(re).max(), np.abs(im).max())
+    if worst > 1 + 1e-9:
+        raise ValueError(f"|overlap part| = {worst} > 1: non-unitary kernel?")
+    if noise_mode == "bernoulli":
+        re = np.where(rng.random(len(v)) < (1 + re) / 2, 1.0, -1.0)
+        im = np.where(rng.random(len(v)) < (1 + im) / 2, 1.0, -1.0)
+    elif noise_mode == "gaussian":
+        re = re + rng.standard_normal(len(v))
+        im = im + rng.standard_normal(len(v))
+    return re, im
 
 
 def run_solver(
@@ -315,46 +377,61 @@ def run_solver(
     keep_records: bool = False,
     compute_truth: bool = True,
 ) -> SolveReport:
-    """Reference per-sample Monte Carlo loop (any kernel, any noise mode).
+    """Chunked Monte Carlo estimate (any kernel, any noise mode).
 
-    Deterministic kernels (exact, pf) are cached per grid index pair since
-    the unitary depends on the sample only through its Fourier time.
+    Samples come in chunks of DRAW_BLOCK; chunk c draws from the stream
+    keyed by (master_seed, c), so a chunk's samples do not depend on n_s.
+    Each chunk consumes its randomness in this order: its j, then its k
+    (alias draws, as in `monte_carlo_mean`); for rte, the kernel draws,
+    one distinct grid pair at a time in ascending flat index j K + k;
+    then the shot noise, real parts, then imaginary parts.  Overlaps are
+    computed once per distinct pair of the chunk, in one batched call
+    (exact, pf) or one frame fold per pair (rte).
+
+    diagnostics: "kernel_cache_size", the number of distinct grid pairs
+    evaluated (summed over chunks); "certified", whether the spectrum of
+    A/lam lies in the series domain (None above the dense guard); and with
+    keep_records, "records", one SampleRecord per sample.
     """
+    if n_s < 1:
+        raise ValueError(f"n_s must be >= 1, got {n_s}")
+    if noise_mode not in NOISE_MODES:
+        raise ValueError(f"unknown noise mode {noise_mode!r}")
     t0 = time.perf_counter()
     sampler = TimeSampler(problem.series)
-    cache = {}
-    records = []
-    re_parts, im_parts = [], []
-    for i in range(n_s):
-        rng = sample_rng(master_seed, i)
-        s = sampler.sample(rng)
-        r = config.r_for(s.tau)
-        if config.kernel in ("exact", "pf"):
-            key = (s.j, s.k)
-            if key not in cache:
-                cache[key] = _kernel_unitary(problem, config, s.tau, r, rng)
-            unitary, extra = cache[key]
-        else:
-            unitary, extra = _kernel_unitary(problem, config, s.tau, r, rng)
-        shot_re = hadamard_shot(
-            problem.phi, unitary, problem.psi, "real", noise_mode, rng
-        ).value
-        shot_im = hadamard_shot(
-            problem.phi, unitary, problem.psi, "imaginary", noise_mode, rng
-        ).value
-        prefactor = s.weight * s.omega * extra
-        rec = SampleRecord(i, s.tau, config.kernel, r, prefactor, shot_re, shot_im)
-        z = rec.z_hat
-        re_parts.append(z.real)
-        im_parts.append(z.imag)
+    grid = problem.series.grid
+    sums_re, sums_im, records = [], [], []
+    n_pairs = 0
+    for c, start in enumerate(range(0, n_s, DRAW_BLOCK)):
+        b = min(DRAW_BLOCK, n_s - start)
+        rng = sample_rng(master_seed, c)
+        j = sampler.p_y.table.draw_batch(rng, b)
+        k = sampler.p_z.table.draw_batch(rng, b)
+        pairs, at = np.unique(j * grid.K + k, return_inverse=True)
+        n_pairs += len(pairs)
+        pair_taus = grid.y_nodes[pairs // grid.K] * grid.z_nodes[pairs % grid.K]
+        pair_rs = config.r_for(pair_taus)
+        v, extra = _sample_overlaps(problem, config, pair_taus, pair_rs, at, rng)
+        prefactor = sampler.weight * (1j * np.sign(grid.z_nodes[k]))
+        if extra is not None:
+            prefactor *= extra
+        shot_re, shot_im = _shots(v, noise_mode, rng)
+        z = prefactor * (shot_re + 1j * shot_im)
+        sums_re.append(math.fsum(z.real.tolist()))
+        sums_im.append(math.fsum(z.imag.tolist()))
         if keep_records:
-            records.append(rec)
-    estimate = complex(math.fsum(re_parts) / n_s, math.fsum(im_parts) / n_s)
+            records.extend(map(
+                SampleRecord, range(start, start + b), pair_taus[at].tolist(),
+                itertools.repeat(config.kernel), pair_rs[at].tolist(),
+                prefactor.tolist(), shot_re.tolist(), shot_im.tolist(),
+            ))
+    estimate = complex(math.fsum(sums_re) / n_s, math.fsum(sums_im) / n_s)
     truth = abs_error = None
     if compute_truth and problem.decomposition.n_qubits <= 10:
         truth = problem.truth()
         abs_error = abs(estimate - truth)
-    diagnostics = {"kernel_cache_size": len(cache)}
+    diagnostics = {"kernel_cache_size": n_pairs,
+                   "certified": certify_spectrum(problem)}
     if keep_records:
         diagnostics["records"] = records
     return SolveReport(
@@ -368,14 +445,10 @@ def run_solver(
 
 def overlap_table_exact(problem: Problem) -> np.ndarray:
     """<phi| e^{-i (A/lam) t_jk} |psi> for every grid pair, shape (J, K)."""
-    evals, evecs = spectrum(problem.unit_decomposition)
-    w = (problem.phi.amplitudes.conj() @ evecs) * (
-        evecs.conj().T @ problem.psi.amplitudes
-    )
     t = np.multiply.outer(
         problem.series.grid.y_nodes, problem.series.grid.z_nodes
     )
-    return np.exp(-1j * np.multiply.outer(t, evals)) @ w
+    return _exact_overlaps(problem, t)
 
 
 def overlap_table_pf(problem: Problem, config: KernelConfig) -> np.ndarray:
@@ -401,15 +474,18 @@ def monte_carlo_mean(
 
     With `schedule` (sample counts <= n_s), returns the running mean at
     each count from a single stream of n_s samples; otherwise returns the
-    single mean at n_s.  Matches the per-sample loop in distribution (not
-    draw-for-draw: the batch path consumes randomness differently).
+    single mean at n_s.  Matches `run_solver` in distribution; within one
+    block the two consume randomness alike, but run_solver starts each
+    chunk on its own keyed stream.
 
     Samples are taken in blocks of DRAW_BLOCK, with running sums carried
     from block to block.  Each block draws its j, then its k (as
     `TimeSampler.sample_batch` does), then its shot noise (real part, then
     imaginary part).  With n_s <= DRAW_BLOCK this is the unblocked stream.
     """
-    if noise_mode not in ("bernoulli", "gaussian", "exact"):
+    if n_s < 1:
+        raise ValueError(f"n_s must be >= 1, got {n_s}")
+    if noise_mode not in NOISE_MODES:
         raise ValueError(f"unknown noise mode {noise_mode!r}")
     if schedule is not None:
         counts = np.asarray(schedule, dtype=np.int64)

@@ -10,7 +10,8 @@ prefix coefficient signs, product phases) folded into a single
 per-sample unit-modulus scalar.  The estimator phase * alpha^r *
 <phi|U|psi> is exactly unbiased for <phi| (finite LCU)^r |psi>.
 
-Both samplers run one Pauli-frame fold.  Since P exp(-i theta Q) =
+Both samplers, and the RTE kernel of `estimator.run_solver`, run one
+Pauli-frame fold.  Since P exp(-i theta Q) =
 exp(-i theta' Q) P, with theta' = -theta when P and Q anticommute, all
 prefixes move to the left: U = P_1 R_1 ... P_r R_r = i^e T R'_1 ... R'_r,
 with T the XOR of every prefix string and R'_s flipped when Q_s
@@ -20,6 +21,7 @@ segment and one for T.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -39,6 +41,7 @@ from .sampler import DRAW_BLOCK, AliasTable
 
 NMAX_UNDERFLOW_CLAMP = 150
 RTE_DENSE_QUBIT_GUARD = 10
+TERM_TABLE_CACHE_SIZE = 8
 
 
 class RTEInfeasibleError(ValueError):
@@ -156,6 +159,39 @@ class RTEUnitary:
         )
 
 
+@dataclass(frozen=True)
+class _TermTables:
+    xs: np.ndarray  # x mask per term
+    zs: np.ndarray  # z mask per term
+    terms: AliasTable  # term index by |c_l|
+    extra: np.ndarray  # i-power a prefix string brings: 1, or 3 if c_l < 0
+    sign_bit: int
+    q_packed: np.ndarray  # rotation string (x, z) plus the sign of c_l
+    src: np.ndarray  # pauli_action row gathers, in term order
+    coef: np.ndarray  # -i times the pauli_action phases
+
+
+@functools.lru_cache(maxsize=TERM_TABLE_CACHE_SIZE)
+def _term_tables(d: PauliDecomposition) -> _TermTables:
+    """The draw and action tables of d's terms, built once per distinct
+    decomposition (decompositions compare by value), read-only."""
+    nq = d.n_qubits
+    coeffs = np.array([c for c, _ in d.terms])
+    xs, zs = np.array([(p.x_mask, p.z_mask) for _, p in d.terms], dtype=np.int64).T
+    terms = AliasTable(np.abs(coeffs) / np.abs(coeffs).sum())
+    extra = 1 + 2 * (coeffs < 0)  # a prefix string brings i (of i^n), -1 if c < 0
+    # the symplectic form pc(Q_x & P_z) + pc(Q_z & P_x) as one popcount, with
+    # Q packed as (x, z) and P as (z, x); the bit above them carries the sign
+    # of Q's coefficient, so an odd count flips the sign of tan(theta)
+    sign_bit = 1 << (2 * nq)
+    q_packed = (xs << nq) | zs | np.where(coeffs < 0, sign_bit, 0)
+    src, phase = d.action_tables()
+    coef = -1j * phase
+    for a in (xs, zs, extra, q_packed, src, coef):
+        a.flags.writeable = False
+    return _TermTables(xs, zs, terms, extra, sign_bit, q_packed, src, coef)
+
+
 def _frames(d, model, r, n, rng):
     """Draw n r-segment samples, in blocks, and the Pauli frame of each.
 
@@ -168,31 +204,23 @@ def _frames(d, model, r, n, rng):
     flat prefix masks, segment s's prefix strings being [cut[s], cut[s+1]).
     """
     nq = d.n_qubits
-    coeffs = np.array([c for c, _ in d.terms])
-    xs, zs = np.array([(p.x_mask, p.z_mask) for _, p in d.terms], dtype=np.int64).T
+    t = _term_tables(d)
     orders = AliasTable(model.probabilities)
-    terms = AliasTable(np.abs(coeffs) / np.abs(coeffs).sum())
-    extra = 1 + 2 * (coeffs < 0)  # a prefix string brings i (of i^n), -1 if c < 0
-    # the symplectic form pc(Q_x & P_z) + pc(Q_z & P_x) as one popcount, with
-    # Q packed as (x, z) and P as (z, x); the bit above them carries the sign
-    # of Q's coefficient, so an odd count flips the sign of tan(theta)
-    sign_bit = 1 << (2 * nq)
-    q_packed = (xs << nq) | zs | np.where(coeffs < 0, sign_bit, 0)
     tan_pm = np.stack([np.tan(model.thetas), -np.tan(model.thetas)], axis=1).ravel()
     step = max(1, DRAW_BLOCK // r)
     for i in range(0, n, step):
         m = min(step, n - i)
         order_idx = orders.draw_batch(rng, m * r).reshape(m, r)
         cut = _scan(np.add, model.orders[order_idx].ravel())
-        pre = terms.draw_batch(rng, int(cut[-1]))
-        rot = terms.draw_batch(rng, m * r).reshape(m, r)
+        pre = t.terms.draw_batch(rng, int(cut[-1]))
+        rot = t.terms.draw_batch(rng, m * r).reshape(m, r)
         bounds = cut[::r]
-        e, cx, cz = _product_exponent(xs[pre], zs[pre], bounds, extra[pre])
+        e, cx, cz = _product_exponent(t.xs[pre], t.zs[pre], bounds, t.extra[pre])
         s0, s1 = bounds[:-1], bounds[1:]
         # XOR of the prefixes after each segment
         p_scan = (cz << nq) | cx
-        later = (p_scan[s1] | sign_bit)[:, None] ^ p_scan[cut[1:].reshape(m, r)]
-        later &= q_packed[rot]
+        later = (p_scan[s1] | t.sign_bit)[:, None] ^ p_scan[cut[1:].reshape(m, r)]
+        later &= t.q_packed[rot]
         tan = tan_pm[2 * order_idx + (_popcount_array(later) & 1)]
         # cos is even, so R' = cos(theta) (I - i tan(theta') Q) and the
         # cosines leave the fold as one product per sample
@@ -205,16 +233,18 @@ def _fold(d, rot_cols, tan_cols, tx, tz, scale, block) -> np.ndarray:
     """T R'_1 ... R'_r block[i] for each sample i, block of shape (n, dim, m);
     rot_cols and tan_cols are (r, n), one contiguous row per segment."""
     n, dim, m = block.shape
-    src, phase = d.action_tables()
-    coef = -1j * phase
+    t = _term_tables(d)
+    src, coef = t.src, t.coef
     rows0 = (np.arange(n) * dim)[:, None]
     v = np.array(block, dtype=complex, order="C")  # flat below is a view of v
     flat = v.reshape(n * dim, m)
+    # the ndarray.take methods skip np.take's dispatch, which costs as much
+    # as the gathers themselves when a pair has few samples
     for rot, tan in zip(rot_cols[::-1], tan_cols[::-1]):
-        rows = np.take(src, rot, axis=0)
+        rows = src.take(rot, axis=0)
         rows += rows0
-        g = np.take(flat, rows, axis=0)
-        c = np.take(coef, rot, axis=0)
+        g = flat.take(rows, axis=0)
+        c = coef.take(rot, axis=0)
         c *= tan[:, None]
         g *= c[..., None]
         v += g
@@ -296,6 +326,15 @@ def sample_rte_overlaps_batch(
     `sample_rte_unitary`: the frame fold applied to psi, drawn as in
     `_frames`, with one batched rotation step per segment.
     """
+    e, raw = _frame_overlaps(d, model, r, psi, phi, n_samples, rng)
+    return _I_POWERS[e] * raw
+
+
+def _frame_overlaps(d, model, r, psi, phi, n_samples, rng):
+    """(e, <phi| cos-scaled T R'_1 ... R'_r |psi>) per sample: the i-power
+    exponent of the sample's phase, and the overlap of its unitary frame
+    fold, so that the sample's phase * <phi|U|psi> is i^e times the
+    overlap."""
     if d.n_qubits > RTE_DENSE_QUBIT_GUARD:
         raise ValueError(f"n_qubits={d.n_qubits} exceeds dense guard")
     e, tx, tz = (np.empty(n_samples, dtype=np.int64) for _ in range(3))
@@ -310,7 +349,7 @@ def sample_rte_overlaps_batch(
     psi = np.asarray(psi, dtype=complex)
     out = _fold(d, rot_cols, tan_cols, tx, tz, scale,
                 np.broadcast_to(psi[:, None], (n_samples, len(psi), 1)))
-    return _I_POWERS[e] * (out[:, :, 0] @ np.conj(phi))
+    return e, out[:, :, 0] @ np.conj(phi)
 
 
 def rte_bias_log(

@@ -22,9 +22,10 @@ from .fourier import FourierSeries
 DRAW_BLOCK = 8192
 
 
-def sample_rng(master_seed: int, sample_index: int) -> np.random.Generator:
-    """Deterministic per-sample stream keyed by (master_seed, sample_index)."""
-    return np.random.default_rng(np.random.SeedSequence((master_seed, sample_index)))
+def sample_rng(master_seed: int, index: int) -> np.random.Generator:
+    """Deterministic stream keyed by (master_seed, index): one per chunk in
+    `estimator.run_solver`, one per sample in `sample_time`."""
+    return np.random.default_rng(np.random.SeedSequence((master_seed, index)))
 
 
 class AliasTable:

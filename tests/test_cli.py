@@ -160,6 +160,19 @@ def test_solve_exact(tmp_path):
     assert "records" not in rep["diagnostics"]
 
 
+@pytest.mark.parametrize("kappa_star, certified", [(None, True), ("3", False)])
+def test_solve_warns_when_uncertified(tmp_path, kappa_star, certified):
+    out = tmp_path / "solve.json"
+    extra = [] if kappa_star is None else ["--kappa-star", kappa_star]
+    res = run_cli([
+        "solve", "--kappa", "10", "--noise", "exact", "--n-samples", "200",
+        "--out", str(out), *extra,
+    ])
+    doc = json.loads(out.read_text())
+    assert doc["report"]["diagnostics"]["certified"] is certified
+    assert ("not certified" in res.stderr) is not certified
+
+
 def test_solve_from_artifact(tmp_path):
     mat = tmp_path / "mat.json"
     run_cli(["gen-matrix", "--kappa", "10", "--seed", "2", "--out", str(mat)])

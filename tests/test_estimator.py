@@ -8,6 +8,7 @@ from rqls.estimator import (
     KernelConfig,
     Problem,
     SampleRecord,
+    _shots,
     exhaustive_mean,
     monte_carlo_mean,
     overlap_table_exact,
@@ -18,16 +19,18 @@ from rqls.estimator import (
     run_solver,
 )
 from rqls.fourier import build_series
+from rqls.kernel_pf import build_pf
+from rqls.kernel_rte import sample_rte_overlaps_batch, segment_model
 from rqls.pauli import commutator_constant, pauli_decompose
 from rqls.randmat import gen_matrix
-from rqls.sampler import DRAW_BLOCK, TimeSampler
-from rqls.simulator import StateVector
+from rqls.sampler import DRAW_BLOCK, TimeSampler, sample_rng
+from rqls.simulator import StateVector, exact_evolution
 
 
-def make_problem(kappa=10.0, eps=5e-3, seed=0, n_qubits=2):
+def make_problem(kappa=10.0, eps=5e-3, seed=0, n_qubits=2, kappa_star=None):
     rng = np.random.default_rng(seed)
     art = gen_matrix(n_qubits, kappa, rng)
-    series = build_series(kappa, art.lam, eps, eps)
+    series = build_series(kappa if kappa_star is None else kappa_star, art.lam, eps, eps)
     dim = 1 << n_qubits
     a = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     b = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -357,3 +360,121 @@ def test_run_solver_identity_matrix():
     # per-sample weight N_y N_z ~ 3, so the standard error is ~ 0.05
     assert abs(report.estimate - 1.0) < 0.2
     assert abs(exhaustive_mean(problem, KernelConfig("exact")) - 1.0) < 1e-2
+
+
+def test_run_solver_and_monte_carlo_mean_reject_no_samples(problem):
+    with pytest.raises(ValueError, match="n_s"):
+        run_solver(problem, KernelConfig("exact"), 0, "exact", 0)
+    table = overlap_table_exact(problem)
+    with pytest.raises(ValueError, match="n_s"):
+        monte_carlo_mean(problem.series, table, 0, "exact", np.random.default_rng(0))
+
+
+def test_run_solver_certifies_the_spectrum():
+    # kappa* below the true condition number leaves eigenvalues of A/lam
+    # outside the series domain [1/kappa_tilde, 1]
+    good = run_solver(make_problem(), KernelConfig("exact"), 10, "exact", 0)
+    bad = run_solver(make_problem(kappa_star=3.0), KernelConfig("exact"), 10, "exact", 0)
+    assert good.diagnostics["certified"] is True
+    assert bad.diagnostics["certified"] is False
+
+
+CHUNK_CONFIGS = [
+    KernelConfig("exact"),
+    KernelConfig("pf", r_quadratic=0.1),
+    KernelConfig("rte", r_fixed=1, n_max=2),
+]
+
+
+@pytest.mark.parametrize("config", CHUNK_CONFIGS, ids=lambda c: c.kernel)
+def test_run_solver_chunks_are_keyed_streams(config):
+    # chunk c draws from the stream (master_seed, c), so a longer run
+    # starts with the records of a shorter one
+    small = make_problem(kappa=2.0, eps=5e-2)
+    n = 2 * DRAW_BLOCK
+    short = run_solver(small, config, n, "bernoulli", 4, keep_records=True)
+    longer = run_solver(small, config, n + 3, "bernoulli", 4, keep_records=True)
+    assert longer.diagnostics["records"][:n] == short.diagnostics["records"]
+    assert [rec.sample_index for rec in longer.diagnostics["records"]] == list(range(n + 3))
+
+
+@pytest.mark.parametrize("noise_mode", ["exact", "gaussian"])
+def test_run_solver_exact_kernel_chunks_are_monte_carlo_means(problem, noise_mode):
+    # chunk c consumes the stream (seed, c) as monte_carlo_mean does a
+    # single block: j, k, then the shots
+    n = DRAW_BLOCK + 100
+    report = run_solver(problem, KernelConfig("exact"), n, noise_mode, 6)
+    table = overlap_table_exact(problem)
+    want = (DRAW_BLOCK * monte_carlo_mean(problem.series, table, DRAW_BLOCK, noise_mode,
+                                          sample_rng(6, 0))
+            + 100 * monte_carlo_mean(problem.series, table, 100, noise_mode,
+                                     sample_rng(6, 1))) / n
+    assert abs(report.estimate - complex(want)) <= 1e-12 * TimeSampler(problem.series).weight
+
+
+def test_run_solver_rte_draws_pair_by_pair():
+    # the documented order: j, k, then each distinct pair's kernel samples
+    # in ascending flat index, each pair's samples in chunk order
+    small = make_problem(kappa=2.0, eps=5e-2)
+    config = KernelConfig("rte", r_fixed=2, n_max=4)
+    n = 2000
+    recs = run_solver(small, config, n, "exact", 3, keep_records=True).diagnostics["records"]
+    sampler = TimeSampler(small.series)
+    grid = small.series.grid
+    rng = sample_rng(3, 0)
+    j, k, tau, omega = sampler.sample_batch(rng, n)
+    flat = j * grid.K + k
+    want = np.empty(n, dtype=complex)
+    for pair in np.unique(flat):
+        at = np.flatnonzero(flat == pair)
+        model = segment_model(tau[at[0]], 2, 4)
+        want[at] = model.alpha_power_r * sample_rte_overlaps_batch(
+            small.unit_decomposition, model, 2, small.psi.amplitudes,
+            small.phi.amplitudes, len(at), rng)
+    want *= sampler.weight * omega
+    got = np.array([rec.z_hat for rec in recs])
+    assert len(np.unique(flat)) < n // 2  # pairs repeat
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("config", CHUNK_CONFIGS[:2], ids=lambda c: c.kernel)
+def test_run_solver_exact_shots_are_dense_overlaps(problem, config):
+    report = run_solver(problem, config, 300, "exact", 5, keep_records=True)
+    d = problem.unit_decomposition
+    psi, phi = problem.psi.amplitudes, problem.phi.amplitudes
+    for rec in report.diagnostics["records"]:
+        if config.kernel == "exact":
+            u = exact_evolution(d, rec.tau)
+        else:
+            u = build_pf(d, rec.tau, rec.r).dense_unitary
+        v = phi.conj() @ u @ psi
+        assert abs(rec.shot_re - v.real) <= 1e-12 and abs(rec.shot_im - v.imag) <= 1e-12
+        assert rec.r == config.r_for(rec.tau)
+
+
+@pytest.mark.parametrize("config", CHUNK_CONFIGS[:2], ids=lambda c: c.kernel)
+def test_run_solver_bernoulli_mean_within_hoeffding(problem, config):
+    # each part of a sample lies in [-w, w]; two chunks and a partial one
+    n, delta = 2 * DRAW_BLOCK + 500, 1e-6
+    report = run_solver(problem, config, n, "bernoulli", 11, compute_truth=False)
+    w = TimeSampler(problem.series).weight
+    half_width = w * math.sqrt(2 * math.log(4 / delta) / n)
+    mean = exhaustive_mean(problem, config)
+    assert abs(report.estimate.real - mean.real) <= half_width
+    assert abs(report.estimate.imag - mean.imag) <= half_width
+
+
+def test_run_solver_rte_prefactor_carries_phase_and_weight(problem):
+    config = KernelConfig("rte", r_fixed=3, n_max=4)
+    report = run_solver(problem, config, 200, "bernoulli", 1, keep_records=True)
+    w = TimeSampler(problem.series).weight
+    for rec in report.diagnostics["records"]:
+        alpha_r = segment_model(rec.tau, rec.r, config.n_max).alpha_power_r
+        unit = rec.prefactor / (1j * np.sign(rec.tau) * w * alpha_r)
+        assert min(abs(unit - 1j ** q) for q in range(4)) <= 1e-12
+        assert abs(rec.shot_re) == 1 and abs(rec.shot_im) == 1
+
+
+def test_shots_reject_non_unitary_overlaps():
+    with pytest.raises(ValueError, match="non-unitary"):
+        _shots(np.array([0.5 + 1.01j]), "bernoulli", np.random.default_rng(0))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rqls.fourier import SQRT_2PI, build_series
 from rqls.sampler import (
@@ -41,6 +43,19 @@ def test_alias_table_frequencies():
     counts = np.bincount(table.draw_batch(rng, n), minlength=4)
     sigma = np.sqrt(p * (1 - p) / n)
     assert np.all(np.abs(counts / n - p) < 4 * sigma)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0) | st.just(0.0), min_size=1, max_size=64)
+       .filter(lambda w: sum(w) > 0))
+def test_alias_table_reconstructs_p(weights):
+    # slot i is drawn with probability 1/n; it yields i with its accept
+    # probability and its alias otherwise
+    p = np.array(weights) / sum(weights)
+    table = AliasTable(p)
+    n = len(p)
+    mass = table._accept + np.bincount(table._alias, weights=1 - table._accept, minlength=n)
+    assert np.abs(mass / n - p).max() <= 1e-12
 
 
 def test_alias_table_zero_prob_never_drawn():
