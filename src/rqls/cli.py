@@ -33,6 +33,7 @@ from .experiments import (
     table1_rows,
 )
 from .fourier import build_series, fourier_params, rescale, truncation_params
+from .kernel_rte import RTEWeightOverflowError
 from .pauli import PauliDecomposition, commutator_constant
 from .randmat import conditioned_spectrum, gen_matrix
 from .simulator import StateVector
@@ -290,7 +291,12 @@ def solve_cmd(ctx, matrix_path, n_qubits, kappa, kappa_star, eps_t, eps_d,
             f"{exc} (r policies: --r, --r-quad, --eps-pf; "
             "--kernel rte also needs --n-max)"
         ) from exc
-    report = run_solver(problem, cfg, n_samples, noise, seed)
+    try:
+        report = run_solver(problem, cfg, n_samples, noise, seed)
+    except RTEWeightOverflowError as exc:
+        raise click.ClickException(
+            f"{exc}; a larger --r or --r-quad keeps it finite"
+        ) from exc
     if report.diagnostics["certified"] is False:
         click.echo(
             "warning: the spectrum of A/lam leaves the series domain "

@@ -332,23 +332,24 @@ def _sample_overlaps(problem, config, taus, rs, at, rng):
     i being at distinct grid pair at[i] of time taus[at[i]].
 
     exact and pf evaluate each pair once.  rte draws each pair's samples
-    (in chunk order) in one frame fold, pair by pair in the order of taus;
-    the phase i^e and alpha^r of a sample go into its extra prefactor."""
+    (in chunk order), pair by pair in the order of taus, and folds them
+    together; the phase i^e and alpha^r of a sample go into its extra
+    prefactor."""
     if config.kernel == "exact":
         return _exact_overlaps(problem, taus)[at], None
     d = problem.unit_decomposition
     psi, phi = problem.psi.amplitudes, problem.phi.amplitudes
     if config.kernel == "pf":
         return strang_overlaps(d, taus, rs, psi, phi)[at], None
+    models = [segment_model(tau, r, config.n_max)
+              for tau, r in zip(taus.tolist(), rs.tolist())]
+    counts = np.bincount(at)
+    alpha_r = np.array([model.alpha_power_r for model in models])
+    e, raw = _frame_overlaps(d, zip(models, rs.tolist(), counts.tolist()), psi, phi, rng)
+    # raw comes pair by pair, each pair's samples in chunk order
     v, extra = np.empty((2, len(at)), dtype=complex)
     by_pair = np.argsort(at, kind="stable")
-    first = 0
-    for tau, r, m in zip(taus.tolist(), rs.tolist(), np.bincount(at).tolist()):
-        rows = by_pair[first:first + m]
-        first += m
-        model = segment_model(tau, r, config.n_max)
-        e, raw = _frame_overlaps(d, model, r, psi, phi, m, rng)
-        v[rows], extra[rows] = raw, _I_POWERS[e] * model.alpha_power_r
+    v[by_pair], extra[by_pair] = raw, _I_POWERS[e] * np.repeat(alpha_r, counts)
     return v, extra
 
 
@@ -386,7 +387,10 @@ def run_solver(
     one distinct grid pair at a time in ascending flat index j K + k;
     then the shot noise, real parts, then imaginary parts.  Overlaps are
     computed once per distinct pair of the chunk, in one batched call
-    (exact, pf) or one frame fold per pair (rte).
+    (exact, pf); rte folds the samples of all the chunk's pairs together,
+    sorted by r, in groups of consecutive pairs bounded by
+    `kernel_rte.FOLD_GROUP_ENTRIES`, with the same results as one fold
+    per pair.
 
     diagnostics: "kernel_cache_size", the number of distinct grid pairs
     evaluated (summed over chunks); "certified", whether the spectrum of

@@ -17,6 +17,12 @@ prefixes move to the left: U = P_1 R_1 ... P_r R_r = i^e T R'_1 ... R'_r,
 with T the XOR of every prefix string and R'_s flipped when Q_s
 anticommutes with P_{s+1} ... P_r.  A sample is then one gather per
 segment and one for T.
+
+One fold takes samples of different r together: sorted by r, descending,
+with their segments right-aligned, the samples that still have a segment
+at each step of the reverse sweep are a prefix of the batch, and the step
+touches only that prefix.  The overlap path folds the samples of many
+grid pairs at once, in groups bounded by FOLD_GROUP_ENTRIES.
 """
 
 from __future__ import annotations
@@ -42,6 +48,10 @@ from .sampler import DRAW_BLOCK, AliasTable
 NMAX_UNDERFLOW_CLAMP = 150
 RTE_DENSE_QUBIT_GUARD = 10
 TERM_TABLE_CACHE_SIZE = 8
+# draw entries (segments x samples) of one fold group's rotation and
+# tangent rectangles: 16 bytes each, so 4 MB at most (unless one pair alone
+# is larger)
+FOLD_GROUP_ENTRIES = 1 << 18
 
 
 class RTEInfeasibleError(ValueError):
@@ -229,25 +239,51 @@ def _frames(d, model, r, n, rng):
                cx, cz, cut)
 
 
-def _fold(d, rot_cols, tan_cols, tx, tz, scale, block) -> np.ndarray:
-    """T R'_1 ... R'_r block[i] for each sample i, block of shape (n, dim, m);
-    rot_cols and tan_cols are (r, n), one contiguous row per segment."""
+def _fold(d, rot, tan, r, tx, tz, scale, block) -> np.ndarray:
+    """T R'_1 ... R'_{r_i} block[i] for each sample i, block of shape (n, dim, m).
+
+    The samples come sorted by r, descending.  rot and tan are (R, n) in
+    sweep order, R = r[0]: row s holds segment r_i - s of sample i for the
+    samples with r_i > s, a prefix of the row (the rest is never read), so
+    step s touches only that prefix of the state.  The steps' row gathers
+    and coefficients are taken in blocks of at most DRAW_BLOCK state
+    entries, each block within a run of steps of equal prefix length.
+    """
     n, dim, m = block.shape
     t = _term_tables(d)
-    src, coef = t.src, t.coef
     rows0 = (np.arange(n) * dim)[:, None]
     v = np.array(block, dtype=complex, order="C")  # flat below is a view of v
     flat = v.reshape(n * dim, m)
-    # the ndarray.take methods skip np.take's dispatch, which costs as much
-    # as the gathers themselves when a pair has few samples
-    for rot, tan in zip(rot_cols[::-1], tan_cols[::-1]):
-        rows = src.take(rot, axis=0)
-        rows += rows0
-        g = flat.take(rows, axis=0)
-        c = coef.take(rot, axis=0)
-        c *= tan[:, None]
-        g *= c[..., None]
-        v += g
+    state = flat[:, 0] if m == 1 else flat  # one column: fold a flat vector
+    lo = 0
+    # steps [lo, hi) have the a samples of r >= hi active, a run of equal
+    # prefix length ending at each distinct r
+    for a, hi in zip(range(n, 0, -1), reversed(r.tolist())):
+        if hi == lo:
+            continue
+        k = a * dim
+        per_block = max(1, DRAW_BLOCK // k)
+        head, g = state[:k], np.empty((k, m)[:state.ndim], dtype=complex)
+        offsets = np.tile(rows0[:a], (min(per_block, hi - lo), 1))
+        for b in range(lo, hi, per_block):
+            e = min(b + per_block, hi)
+            # flat (steps x a) term indices: a view when the steps are whole
+            terms = rot[b:e, :a].reshape(-1)
+            # the ndarray.take methods skip np.take's dispatch, which costs
+            # as much as the gathers themselves on narrow steps
+            rows = t.src.take(terms, axis=0)
+            rows += offsets[:len(terms)]
+            c = t.coef.take(terms, axis=0)
+            c *= tan[b:e, :a].reshape(-1, 1)
+            rows = rows.reshape(e - b, k)
+            c = c.reshape((e - b, k) if m == 1 else (e - b, k, 1))
+            for rows_s, c_s in zip(rows, c):
+                # positional: take parses keywords slowly; "wrap" leaves
+                # out unbuffered (the rows are in range)
+                state.take(rows_s, 0, g, "wrap")
+                g *= c_s
+                head += g
+        lo = hi
     t_src, t_phase = pauli_action(d.n_qubits, tx, tz)
     out = np.take(flat, t_src + rows0, axis=0)
     out *= (t_phase * scale[:, None])[..., None]
@@ -265,7 +301,7 @@ def sample_rte_unitary(
     if d.n_qubits > RTE_DENSE_QUBIT_GUARD:
         raise ValueError(f"n_qubits={d.n_qubits} exceeds dense guard")
     e, tx, tz, scale, tan, rot, order_idx, cx, cz, cut = next(_frames(d, model, r, 1, rng))
-    out = _fold(d, rot.T, tan.T, tx, tz, scale,
+    out = _fold(d, rot.T[::-1], tan.T[::-1], np.array([r]), tx, tz, scale,
                 np.eye(1 << d.n_qubits, dtype=complex)[None])
     # the scalar keeps the phases within each segment's prefix; the phase
     # of multiplying the canonical segment prefixes belongs to the matrix
@@ -326,30 +362,83 @@ def sample_rte_overlaps_batch(
     `sample_rte_unitary`: the frame fold applied to psi, drawn as in
     `_frames`, with one batched rotation step per segment.
     """
-    e, raw = _frame_overlaps(d, model, r, psi, phi, n_samples, rng)
+    e, raw = _frame_overlaps(d, [(model, r, n_samples)], psi, phi, rng)
     return _I_POWERS[e] * raw
 
 
-def _frame_overlaps(d, model, r, psi, phi, n_samples, rng):
+def _frame_overlaps(d, pairs, psi, phi, rng):
     """(e, <phi| cos-scaled T R'_1 ... R'_r |psi>) per sample: the i-power
     exponent of the sample's phase, and the overlap of its unitary frame
     fold, so that the sample's phase * <phi|U|psi> is i^e times the
-    overlap."""
+    overlap.
+
+    pairs is an iterable of (model, r, count).  The draws are `_frames`' for
+    each pair in turn, and the results come pair by pair, each pair's
+    samples in draw order.  Consecutive pairs are folded together while
+    their (max r) x (samples) rectangle of draws stays within
+    FOLD_GROUP_ENTRIES, at least one pair at a time.
+    """
     if d.n_qubits > RTE_DENSE_QUBIT_GUARD:
         raise ValueError(f"n_qubits={d.n_qubits} exceeds dense guard")
-    e, tx, tz = (np.empty(n_samples, dtype=np.int64) for _ in range(3))
-    scale, tan_cols = np.empty(n_samples), np.empty((r, n_samples))
-    rot_cols = np.empty((r, n_samples), dtype=np.int64)
+    psi = np.asarray(psi, dtype=complex)
+    conj_phi = np.conj(phi)
+    parts, group = [], []
+    big_r = n = 0
+    for model, r, count in pairs:
+        if group and max(big_r, r) * (n + count) > FOLD_GROUP_ENTRIES:
+            parts.append(_fold_group(d, group, psi, conj_phi))
+            group, big_r, n = [], 0, 0
+        group.append((r, *_pair_draws(d, model, r, count, rng)))
+        big_r, n = max(big_r, r), n + count
+    parts.append(_fold_group(d, group, psi, conj_phi))
+    e, overlaps = zip(*parts)
+    return np.concatenate(e), np.concatenate(overlaps)
+
+
+def _pair_draws(d, model, r, n, rng):
+    """(e, tx, tz, scale, tan, rot) of n samples drawn by `_frames`, with tan
+    and rot (r, n) in sweep order: row s holds segment r - s of each sample."""
+    e, tx, tz = (np.empty(n, dtype=np.int64) for _ in range(3))
+    scale, tan = np.empty(n), np.empty((r, n))
+    rot = np.empty((r, n), dtype=np.int64)
     i = 0
-    for e_b, tx_b, tz_b, scale_b, tan, rot, *_ in _frames(d, model, r, n_samples, rng):
+    for e_b, tx_b, tz_b, scale_b, tan_b, rot_b, *_ in _frames(d, model, r, n, rng):
         at = slice(i, i + len(e_b))
         e[at], tx[at], tz[at], scale[at] = e_b, tx_b, tz_b, scale_b
-        tan_cols[:, at], rot_cols[:, at] = tan.T, rot.T
+        tan[:, at], rot[:, at] = tan_b[:, ::-1].T, rot_b[:, ::-1].T
         i = at.stop
-    psi = np.asarray(psi, dtype=complex)
-    out = _fold(d, rot_cols, tan_cols, tx, tz, scale,
-                np.broadcast_to(psi[:, None], (n_samples, len(psi), 1)))
-    return e, out[:, :, 0] @ np.conj(phi)
+    return e, tx, tz, scale, tan, rot
+
+
+def _fold_group(d, group, psi, conj_phi):
+    """(e, overlap) of every sample of a group of pairs, (r, *`_pair_draws`)
+    each, in the group's order, from one fold of the group sorted by r."""
+    rs = np.array([g[0] for g in group])
+    counts = np.array([len(g[1]) for g in group])
+    r_sample = np.repeat(rs, counts)
+    # a stable sort keeps each pair's samples together and in order
+    order = np.argsort(-r_sample, kind="stable")
+    col = np.empty_like(order)
+    col[order] = np.arange(len(order))
+    if len(group) == 1:  # one pair is its own rectangle
+        *_, tan, rot = group[0]
+    else:
+        rot = np.zeros((rs.max(), len(order)), dtype=np.int64)
+        tan = np.zeros(rot.shape)
+        for (r, *_, tan_p, rot_p), c0 in zip(group, col[_scan(np.add, counts)[:-1]].tolist()):
+            at = slice(c0, c0 + rot_p.shape[1])
+            rot[:r, at], tan[:r, at] = rot_p, tan_p
+    e, tx, tz, scale = (np.concatenate([g[i] for g in group]) for i in range(1, 5))
+    out = _fold(d, rot, tan, r_sample[order], tx[order], tz[order], scale[order],
+                np.broadcast_to(psi[:, None], (len(order), len(psi), 1)))
+    v = out[:, :, 0][col]
+    overlaps = v @ conj_phi
+    # BLAS takes one row as a dot product and several as gemv, which round
+    # apart; contract each pair's samples as a fold of that pair alone does
+    single = np.repeat(counts == 1, counts)
+    if single.any():
+        overlaps[single] = (v[single, None, :] @ conj_phi[:, None])[:, 0, 0]
+    return e, overlaps
 
 
 def rte_bias_log(

@@ -243,3 +243,15 @@ def test_solve_missing_kernel_options_is_usage_error(args, message):
     assert result.exit_code == 2, result.output
     assert not isinstance(result.exception, ValueError)
     assert "Error:" in result.output and message in result.output
+
+
+def test_solve_rte_weight_overflow_is_click_error():
+    # at r = 2 the longest times of the kappa = 1000 series have
+    # log10 alpha^r = 373, beyond a float
+    result = CliRunner().invoke(main, [
+        "solve", "--kernel", "rte", "--r", "2", "--n-max", "150",
+        "--kappa", "1000", "--n-samples", "20",
+    ])
+    assert result.exit_code == 1, result.output
+    assert not isinstance(result.exception, ValueError)
+    assert "Error:" in result.output and "log10 alpha^r = " in result.output

@@ -20,6 +20,7 @@ from rqls.estimator import (
 )
 from rqls.fourier import build_series
 from rqls.kernel_pf import build_pf
+from rqls import kernel_rte
 from rqls.kernel_rte import sample_rte_overlaps_batch, segment_model
 from rqls.pauli import commutator_constant, pauli_decompose
 from rqls.randmat import gen_matrix
@@ -435,6 +436,47 @@ def test_run_solver_rte_draws_pair_by_pair():
     got = np.array([rec.z_hat for rec in recs])
     assert len(np.unique(flat)) < n // 2  # pairs repeat
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("group_entries, n_groups", [(None, 1), (2000, 24)])
+def test_run_solver_rte_mixed_r_matches_pair_by_pair_oracle(monkeypatch, group_entries,
+                                                            n_groups):
+    # mixed r in one chunk: one frame fold per group of pairs (the whole
+    # chunk at the default bound, 24 groups at 2000 entries), sorted by r,
+    # gives each sample bit for bit what a fold of its pair alone gives
+    if group_entries is not None:
+        monkeypatch.setattr(kernel_rte, "FOLD_GROUP_ENTRIES", group_entries)
+    groups = []
+    fold_group = kernel_rte._fold_group
+    monkeypatch.setattr(kernel_rte, "_fold_group",
+                        lambda *args: groups.append(1) or fold_group(*args))
+    small = make_problem(kappa=2.0, eps=5e-2)
+    config = KernelConfig("rte", r_quadratic=0.02, n_max=4)
+    n = 2000
+    recs = run_solver(small, config, n, "exact", 3, keep_records=True).diagnostics["records"]
+    assert len(groups) == n_groups
+    sampler = TimeSampler(small.series)
+    grid = small.series.grid
+    rng = sample_rng(3, 0)
+    j, k, tau, omega = sampler.sample_batch(rng, n)
+    flat = j * grid.K + k
+    rs = config.r_for(tau)
+    want = np.empty(n, dtype=complex)
+    for pair in np.unique(flat):
+        at = np.flatnonzero(flat == pair)
+        # Python scalars, as the solver passes them: alpha ** np.int64 is
+        # numpy's pow, which may round apart from Python's
+        r = int(rs[at[0]])
+        model = segment_model(float(tau[at[0]]), r, 4)
+        o = sample_rte_overlaps_batch(small.unit_decomposition, model, r,
+                                      small.psi.amplitudes, small.phi.amplitudes,
+                                      len(at), rng)
+        # rounded in the solver's order: the unit phases are exact, then
+        # weight * alpha^r, then its product with the overlap
+        want[at] = (sampler.weight * model.alpha_power_r) * (omega[at] * o)
+    assert len(set(rs.tolist())) > 40 and np.bincount(np.unique(flat, return_inverse=True)[1]).max() > 1
+    assert [rec.r for rec in recs] == rs.tolist()
+    assert [rec.z_hat for rec in recs] == want.tolist()
 
 
 @pytest.mark.parametrize("config", CHUNK_CONFIGS[:2], ids=lambda c: c.kernel)

@@ -14,15 +14,17 @@ from rqls.estimator import KernelConfig, Problem, overlap_table_pf
 from rqls.fourier import build_series
 from rqls.kernel_pf import build_pf, step_rotations, strang_unitaries
 from rqls.pauli import (
+    PauliDecomposition,
     PauliString,
     PhasedPauli,
     _popcount_array,
     _product_exponent,
+    commutator_constant,
     pauli_decompose,
     pauli_product,
 )
 from rqls.randmat import gen_matrix
-from rqls.simulator import StateVector
+from rqls.simulator import StateVector, exact_evolution
 
 SINGLE = {
     "I": np.eye(2),
@@ -237,3 +239,34 @@ def test_overlap_table_pf_memory_is_table_plus_one_chunk(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak <= 4 * table.nbytes + chunk_bytes, (table.shape, peak)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 4), data=st.data())
+def test_commutes_with_matches_dense(n, data):
+    mask = st.integers(0, (1 << n) - 1)
+    a, b = (PauliString(n, data.draw(mask), data.draw(mask)) for _ in range(2))
+    ma, mb = dense_from_text(a.to_text()), dense_from_text(b.to_text())
+    # Pauli strings either commute or anticommute, exactly
+    assert np.array_equal(ma @ mb, mb @ ma) == a.commutes_with(b)
+    assert np.array_equal(ma @ mb, -(mb @ ma)) != a.commutes_with(b)
+
+
+@st.composite
+def small_decompositions(draw):
+    n = draw(st.integers(1, 3))
+    mask = st.integers(0, (1 << n) - 1)
+    strings = draw(st.lists(st.tuples(mask, mask), min_size=1, max_size=6, unique=True))
+    coeffs = draw(st.lists(st.floats(0.05, 1.0) | st.floats(-1.0, -0.05),
+                           min_size=len(strings), max_size=len(strings)))
+    terms = tuple((c, PauliString(n, x, z)) for c, (x, z) in zip(coeffs, strings))
+    return PauliDecomposition(n, terms).rescaled()
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=small_decompositions(), tau=st.floats(-4.0, 4.0), r=st.integers(1, 8))
+def test_pf_error_within_commutator_bound(d, tau, r):
+    # the second-order product-formula bound ||S(tau/r)^r - e^{-i A tau}||_2
+    # <= f |tau|^3 / r^2 that the pf bias bound and certified r rest on
+    err = np.linalg.norm(build_pf(d, tau, r).dense_unitary - exact_evolution(d, tau), 2)
+    assert err <= commutator_constant(d) * abs(tau) ** 3 / r**2 + 1e-12
