@@ -39,13 +39,8 @@ from .randmat import conditioned_spectrum, gen_matrix
 from .simulator import StateVector
 
 
-def _manifest(config: dict, seed: int, threads: int) -> dict:
-    return {
-        "config": config,
-        "master_seed": seed,
-        "threads": threads,
-        "version": __version__,
-    }
+def _manifest(config: dict, seed: int) -> dict:
+    return {"config": config, "master_seed": seed, "version": __version__}
 
 
 def _write_json(out, payload: dict):
@@ -72,13 +67,8 @@ def _write_csv(out, manifest: dict, header, rows):
 
 
 @click.group()
-@click.option("--threads", default=1, show_default=True,
-              help="Recorded in output manifests; computation is single-process.")
-@click.pass_context
-def main(ctx, threads):
+def main():
     """Randomized quantum linear systems solver toolkit."""
-    ctx.ensure_object(dict)
-    ctx.obj["threads"] = threads
 
 
 @main.command("gen-matrix")
@@ -86,13 +76,12 @@ def main(ctx, threads):
 @click.option("--kappa", required=True, type=float)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", default=None, type=click.Path())
-@click.pass_context
-def gen_matrix_cmd(ctx, n_qubits, kappa, seed, out):
+def gen_matrix_cmd(n_qubits, kappa, seed, out):
     """Random Hermitian matrix with condition number exactly kappa."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     art = gen_matrix(n_qubits, kappa, rng)
     config = {"command": "gen-matrix", "n_qubits": n_qubits, "kappa": kappa}
-    payload = _manifest(config, seed, ctx.obj["threads"])
+    payload = _manifest(config, seed)
     payload["artifact"] = art.to_json()
     _write_json(out, payload)
 
@@ -103,15 +92,14 @@ def gen_matrix_cmd(ctx, n_qubits, kappa, seed, out):
 @click.option("--eps-t", required=True, type=float)
 @click.option("--eps-d", required=True, type=float)
 @click.option("--out", default=None, type=click.Path())
-@click.pass_context
-def params_cmd(ctx, kappa_star, lam, eps_t, eps_d, out):
+def params_cmd(kappa_star, lam, eps_t, eps_d, out):
     """Truncation bounds and grid sizes for the inverse-function series."""
     kt = rescale(kappa_star, lam)
     trunc = truncation_params(kt, eps_t)
     big_j, big_k = fourier_params(kt, eps_t, eps_d, trunc)
     config = {"command": "params", "kappa_star": kappa_star, "lam": lam,
               "eps_t": eps_t, "eps_d": eps_d}
-    payload = _manifest(config, 0, ctx.obj["threads"])
+    payload = _manifest(config, 0)
     payload["params"] = {
         "kappa_tilde": kt, "y_max": trunc.y_max, "z_max": trunc.z_max,
         "t_max": trunc.t_max, "J": big_j, "K": big_k, "n_terms": big_j * big_k,
@@ -125,13 +113,12 @@ def params_cmd(ctx, kappa_star, lam, eps_t, eps_d, out):
 @click.option("--eps-t", required=True, type=float)
 @click.option("--eps-d", required=True, type=float)
 @click.option("--out", default=None, type=click.Path())
-@click.pass_context
-def build_series_cmd(ctx, kappa_star, lam, eps_t, eps_d, out):
+def build_series_cmd(kappa_star, lam, eps_t, eps_d, out):
     """Build the series and report its normalization constants."""
     series = build_series(kappa_star, lam, eps_t, eps_d)
     config = {"command": "build-series", "kappa_star": kappa_star, "lam": lam,
               "eps_t": eps_t, "eps_d": eps_d}
-    payload = _manifest(config, 0, ctx.obj["threads"])
+    payload = _manifest(config, 0)
     payload["series"] = {
         "J": series.grid.J, "K": series.grid.K, "n_terms": series.n_terms,
         "kappa_tilde": series.kappa_tilde,
@@ -154,8 +141,7 @@ def build_series_cmd(ctx, kappa_star, lam, eps_t, eps_d, out):
 @click.option("--trials", default=20, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", default=None, type=click.Path())
-@click.pass_context
-def verify_series_cmd(ctx, kappa_star, lam, eps_t, eps_d, trials, seed, out):
+def verify_series_cmd(kappa_star, lam, eps_t, eps_d, trials, seed, out):
     """Measure the worst scalar series error over random spectra."""
     series = build_series(kappa_star, lam, eps_t, eps_d)
     kt = series.kappa_tilde
@@ -171,7 +157,7 @@ def verify_series_cmd(ctx, kappa_star, lam, eps_t, eps_d, trials, seed, out):
     rows = [
         [x, v.real, v.imag, e] for x, v, e in zip(xs, vals, errs)
     ]
-    _write_csv(out, _manifest(config, seed, ctx.obj["threads"]),
+    _write_csv(out, _manifest(config, seed),
                ["x", "series_re", "series_im", "abs_error"], rows)
 
 
@@ -182,13 +168,12 @@ def verify_series_cmd(ctx, kappa_star, lam, eps_t, eps_d, trials, seed, out):
               help="Verify the kappa=1000 rows too (hundreds of millions of terms).")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", default=None, type=click.Path())
-@click.pass_context
-def table1_cmd(ctx, trials, heavy, seed, out):
+def table1_cmd(trials, heavy, seed, out):
     """Grid sizes (J, K) for the twelve (kappa, eps_F) pairs."""
     rows = table1_rows(trials=trials, heavy=heavy, master_seed=seed)
     config = {"command": "table1", "trials": trials, "heavy": heavy}
     header = ["kappa", "eps_f", "J", "K", "t_max", "eps_max"]
-    _write_csv(out, _manifest(config, seed, ctx.obj["threads"]), header,
+    _write_csv(out, _manifest(config, seed), header,
                [[r["kappa"], r["eps_f"], r["J"], r["K"], r["t_max"],
                  r.get("eps_max", "")] for r in rows])
 
@@ -208,8 +193,7 @@ def table1_cmd(ctx, trials, heavy, seed, out):
 @click.option("--r", "r_seg", default=None, type=int,
               help="RTE segment count; default ceil(t_max).")
 @click.option("--out", default=None, type=click.Path())
-@click.pass_context
-def resources_cmd(ctx, kernel, kappa_star, lam, eps_t, eps_d, eps, delta,
+def resources_cmd(kernel, kappa_star, lam, eps_t, eps_d, eps, delta,
                   f_const, big_l, r_seg, out):
     """Certified sample and gate counts for a kernel at a target accuracy."""
     series = build_series(kappa_star, lam, eps_t, eps_d)
@@ -226,7 +210,7 @@ def resources_cmd(ctx, kernel, kappa_star, lam, eps_t, eps_d, eps, delta,
               "kappa_star": kappa_star, "lam": lam, "eps_t": eps_t,
               "eps_d": eps_d, "eps": eps, "delta": delta, "f": f_const,
               "big_l": big_l, "r": r_seg}
-    payload = _manifest(config, 0, ctx.obj["threads"])
+    payload = _manifest(config, 0)
     payload["series"] = {"t_max": series.t_max, "t_min_abs": series.t_min_abs,
                          "N_y": series.N_y, "N_z": series.N_z}
     payload["estimate"] = est.to_json()
@@ -273,8 +257,7 @@ def _load_problem(matrix_path, n_qubits, kappa, seed, eps_t, eps_d, kappa_star):
               default="bernoulli", show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", default=None, type=click.Path())
-@click.pass_context
-def solve_cmd(ctx, matrix_path, n_qubits, kappa, kappa_star, eps_t, eps_d,
+def solve_cmd(matrix_path, n_qubits, kappa, kappa_star, eps_t, eps_d,
               kernel, r_fixed, r_quad, eps_pf, n_max, n_samples, noise, seed,
               out):
     """End-to-end Monte Carlo estimate of <phi|A^{-1}|psi>."""
@@ -309,7 +292,7 @@ def solve_cmd(ctx, matrix_path, n_qubits, kappa, kappa_star, eps_t, eps_d,
               "eps_d": eps_d, "kernel": kernel, "r": r_fixed,
               "r_quad": r_quad, "eps_pf": eps_pf, "n_max": n_max,
               "n_samples": n_samples, "noise": noise}
-    payload = _manifest(config, seed, ctx.obj["threads"])
+    payload = _manifest(config, seed)
     payload["report"] = report.to_json()
     payload["report"]["diagnostics"].pop("records", None)
     _write_json(out, payload)
@@ -325,8 +308,7 @@ def solve_cmd(ctx, matrix_path, n_qubits, kappa, kappa_star, eps_t, eps_d,
               default="gaussian", show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", default=None, type=click.Path())
-@click.pass_context
-def rmse_sweep_cmd(ctx, kappa, eps_f, fixed_r, max_samples, trials, noise,
+def rmse_sweep_cmd(kappa, eps_f, fixed_r, max_samples, trials, noise,
                    seed, out):
     """RMSE convergence per kernel policy (exact, fixed r, adaptive r)."""
     problem = _load_problem(None, 2, kappa, seed, eps_f / 2, eps_f / 2, None)
@@ -341,8 +323,7 @@ def rmse_sweep_cmd(ctx, kappa, eps_f, fixed_r, max_samples, trials, noise,
         for name, curve in sorted(results.items())
         for n, r in zip(curve["n_s"], curve["rmse"])
     ]
-    _write_csv(out, _manifest(config, seed, ctx.obj["threads"]),
-               ["policy", "n_s", "rmse"], rows)
+    _write_csv(out, _manifest(config, seed), ["policy", "n_s", "rmse"], rows)
 
 
 @main.command("rte-single")
@@ -354,16 +335,17 @@ def rmse_sweep_cmd(ctx, kappa, eps_f, fixed_r, max_samples, trials, noise,
 @click.option("--kappa", default=10.0, show_default=True, type=float)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", default=None, type=click.Path())
-@click.pass_context
-def rte_single_cmd(ctx, taus, r_seg, n_max, max_samples, trials, kappa, seed,
-                   out):
+def rte_single_cmd(taus, r_seg, n_max, max_samples, trials, kappa, seed, out):
     """RMSE of the RTE estimator of a single evolved overlap per tau."""
     tau_list = [float(t) for t in taus.split(",")]
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     d_unit = gen_matrix(2, kappa, rng).decomposition.rescaled()
     schedule = log_schedule(100, max_samples)
-    results = rte_single(d_unit, tau_list, r_seg, schedule, trials, seed,
-                         n_max=n_max)
+    try:
+        results = rte_single(d_unit, tau_list, r_seg, schedule, trials, seed,
+                             n_max=n_max)
+    except RTEWeightOverflowError as exc:
+        raise click.ClickException(f"{exc}; a larger --r keeps it finite") from exc
     config = {"command": "rte-single", "taus": tau_list, "r": r_seg,
               "n_max": n_max, "max_samples": max_samples, "trials": trials,
               "kappa": kappa}
@@ -372,8 +354,7 @@ def rte_single_cmd(ctx, taus, r_seg, n_max, max_samples, trials, kappa, seed,
         for tau, curve in results.items()
         for n, rmse in zip(curve["n_s"], curve["rmse"])
     ]
-    _write_csv(out, _manifest(config, seed, ctx.obj["threads"]),
-               ["tau", "n_s", "rmse"], rows)
+    _write_csv(out, _manifest(config, seed), ["tau", "n_s", "rmse"], rows)
 
 
 if __name__ == "__main__":

@@ -353,20 +353,71 @@ def _sample_overlaps(problem, config, taus, rs, at, rng):
     return v, extra
 
 
-def _shots(v: np.ndarray, noise_mode: str, rng: np.random.Generator):
-    """One Hadamard-test shot each for Re v and Im v, elementwise, as
-    `hadamard_shot` draws them: all real parts, then all imaginary parts."""
-    re, im = v.real, v.imag
+def _shots(re: np.ndarray, im: np.ndarray, noise_mode: str, rng: np.random.Generator):
+    """One Hadamard-test shot each for the real parts re and the imaginary
+    parts im of the overlaps, elementwise, as `hadamard_shot` draws them:
+    all real parts, then all imaginary parts.  Gaussian noise is added in
+    place."""
     worst = max(np.abs(re).max(), np.abs(im).max())
     if worst > 1 + 1e-9:
         raise ValueError(f"|overlap part| = {worst} > 1: non-unitary kernel?")
     if noise_mode == "bernoulli":
-        re = np.where(rng.random(len(v)) < (1 + re) / 2, 1.0, -1.0)
-        im = np.where(rng.random(len(v)) < (1 + im) / 2, 1.0, -1.0)
+        re = np.where(rng.random(len(re)) < (1 + re) / 2, 1.0, -1.0)
+        im = np.where(rng.random(len(im)) < (1 + im) / 2, 1.0, -1.0)
     elif noise_mode == "gaussian":
-        re = re + rng.standard_normal(len(v))
-        im = im + rng.standard_normal(len(v))
+        re += rng.standard_normal(len(re))
+        im += rng.standard_normal(len(im))
     return re, im
+
+
+def _blocks(sampler: TimeSampler, n_s: int, noise_mode: str, stream, overlaps):
+    """The Monte Carlo loop of `run_solver` and `monte_carlo_mean`.
+
+    Takes n_s samples in blocks of DRAW_BLOCK.  Block c draws from the
+    generator stream(c), in this order: its j, then its k (alias draws),
+    then whatever overlaps(j, k, rng) draws, then the shot noise (`_shots`).
+    overlaps returns (Re, Im) of each sample's overlap and one more value,
+    which is passed on.  Yields per block (start, k, that value, shot_re,
+    shot_im).
+    """
+    if n_s < 1:
+        raise ValueError(f"n_s must be >= 1, got {n_s}")
+    if noise_mode not in NOISE_MODES:
+        raise ValueError(f"unknown noise mode {noise_mode!r}")
+    for c, start in enumerate(range(0, n_s, DRAW_BLOCK)):
+        b = min(DRAW_BLOCK, n_s - start)
+        rng = stream(c)
+        j = sampler.p_y.table.draw_batch(rng, b)
+        k = sampler.p_z.table.draw_batch(rng, b)
+        re, im, passed = overlaps(j, k, rng)
+        yield (start, k, passed, *_shots(re, im, noise_mode, rng))
+
+
+def _running_sums(blocks, counts: np.ndarray, n_s: int, n_parts: int) -> np.ndarray:
+    """Sums of the first n samples of one stream of n_s samples, for each n
+    in counts: shape (n_parts, len(counts)).
+
+    blocks yields the stream in order, each block as n_parts float arrays
+    (the real and imaginary parts of complex samples, say).  Each part is
+    one sequential running sum over the whole stream, carried from block
+    to block and taken in place in the block's arrays.
+    """
+    if counts.max() > n_s or counts.min() < 1:
+        raise ValueError("schedule entries must lie in [1, n_s]")
+    sums = np.empty((n_parts, len(counts)))
+    carry = np.zeros(n_parts)
+    start = 0
+    for parts in blocks:
+        end = start + len(parts[0])
+        inside = (counts > start) & (counts <= end)
+        at = counts[inside] - start - 1
+        for i, part in enumerate(parts):
+            part[0] += carry[i]
+            np.cumsum(part, out=part)
+            carry[i] = part[-1]
+            sums[i, inside] = part[at]
+        start = end
+    return sums
 
 
 def run_solver(
@@ -380,53 +431,49 @@ def run_solver(
 ) -> SolveReport:
     """Chunked Monte Carlo estimate (any kernel, any noise mode).
 
-    Samples come in chunks of DRAW_BLOCK; chunk c draws from the stream
+    Samples come in the chunks of `_blocks`; chunk c draws from the stream
     keyed by (master_seed, c), so a chunk's samples do not depend on n_s.
-    Each chunk consumes its randomness in this order: its j, then its k
-    (alias draws, as in `monte_carlo_mean`); for rte, the kernel draws,
-    one distinct grid pair at a time in ascending flat index j K + k;
-    then the shot noise, real parts, then imaginary parts.  Overlaps are
-    computed once per distinct pair of the chunk, in one batched call
-    (exact, pf); rte folds the samples of all the chunk's pairs together,
-    sorted by r, in groups of consecutive pairs bounded by
-    `kernel_rte.FOLD_GROUP_ENTRIES`, with the same results as one fold
-    per pair.
+    Each chunk consumes its randomness in this order: its j, then its k;
+    for rte, the kernel draws, one distinct grid pair at a time in
+    ascending flat index j K + k; then the shot noise, real parts, then
+    imaginary parts.  Overlaps are computed once per distinct pair of the
+    chunk, in one batched call (exact, pf); rte folds the samples of all
+    the chunk's pairs together, sorted by r, in groups of consecutive pairs
+    bounded by `kernel_rte.FOLD_GROUP_ENTRIES`, with the same results as
+    one fold per pair.
 
     diagnostics: "kernel_cache_size", the number of distinct grid pairs
     evaluated (summed over chunks); "certified", whether the spectrum of
     A/lam lies in the series domain (None above the dense guard); and with
     keep_records, "records", one SampleRecord per sample.
     """
-    if n_s < 1:
-        raise ValueError(f"n_s must be >= 1, got {n_s}")
-    if noise_mode not in NOISE_MODES:
-        raise ValueError(f"unknown noise mode {noise_mode!r}")
     t0 = time.perf_counter()
     sampler = TimeSampler(problem.series)
     grid = problem.series.grid
+
+    def chunk_overlaps(j, k, rng):
+        pairs, at = np.unique(j * grid.K + k, return_inverse=True)
+        taus = grid.y_nodes[pairs // grid.K] * grid.z_nodes[pairs % grid.K]
+        rs = config.r_for(taus)
+        v, extra = _sample_overlaps(problem, config, taus, rs, at, rng)
+        return v.real, v.imag, (at, taus, rs, extra)
+
     sums_re, sums_im, records = [], [], []
     n_pairs = 0
-    for c, start in enumerate(range(0, n_s, DRAW_BLOCK)):
-        b = min(DRAW_BLOCK, n_s - start)
-        rng = sample_rng(master_seed, c)
-        j = sampler.p_y.table.draw_batch(rng, b)
-        k = sampler.p_z.table.draw_batch(rng, b)
-        pairs, at = np.unique(j * grid.K + k, return_inverse=True)
-        n_pairs += len(pairs)
-        pair_taus = grid.y_nodes[pairs // grid.K] * grid.z_nodes[pairs % grid.K]
-        pair_rs = config.r_for(pair_taus)
-        v, extra = _sample_overlaps(problem, config, pair_taus, pair_rs, at, rng)
+    for start, k, (at, taus, rs, extra), shot_re, shot_im in _blocks(
+        sampler, n_s, noise_mode, lambda c: sample_rng(master_seed, c), chunk_overlaps
+    ):
+        n_pairs += len(taus)
         prefactor = sampler.weight * (1j * np.sign(grid.z_nodes[k]))
         if extra is not None:
             prefactor *= extra
-        shot_re, shot_im = _shots(v, noise_mode, rng)
         z = prefactor * (shot_re + 1j * shot_im)
         sums_re.append(math.fsum(z.real.tolist()))
         sums_im.append(math.fsum(z.imag.tolist()))
         if keep_records:
             records.extend(map(
-                SampleRecord, range(start, start + b), pair_taus[at].tolist(),
-                itertools.repeat(config.kernel), pair_rs[at].tolist(),
+                SampleRecord, range(start, start + len(k)), taus[at].tolist(),
+                itertools.repeat(config.kernel), rs[at].tolist(),
                 prefactor.tolist(), shot_re.tolist(), shot_im.tolist(),
             ))
     estimate = complex(math.fsum(sums_re) / n_s, math.fsum(sums_im) / n_s)
@@ -482,60 +529,39 @@ def monte_carlo_mean(
     block the two consume randomness alike, but run_solver starts each
     chunk on its own keyed stream.
 
-    Samples are taken in blocks of DRAW_BLOCK, with running sums carried
-    from block to block.  Each block draws its j, then its k (as
-    `TimeSampler.sample_batch` does), then its shot noise (real part, then
-    imaginary part).  With n_s <= DRAW_BLOCK this is the unblocked stream.
+    Runs `_blocks` with rng as the stream of every block and the table as
+    the overlap source: each block draws its j, then its k, then its shot
+    noise (real part, then imaginary part).  With n_s <= DRAW_BLOCK this is
+    the unblocked stream.
     """
-    if n_s < 1:
-        raise ValueError(f"n_s must be >= 1, got {n_s}")
-    if noise_mode not in NOISE_MODES:
-        raise ValueError(f"unknown noise mode {noise_mode!r}")
-    if schedule is not None:
-        counts = np.asarray(schedule, dtype=np.int64)
-        if counts.max() > n_s or counts.min() < 1:
-            raise ValueError("schedule entries must lie in [1, n_s]")
-        means = np.empty(len(counts), dtype=complex)
     sampler = TimeSampler(series)
     big_k = series.grid.K
     table_re = np.ascontiguousarray(overlap_table.real).ravel()
     table_im = np.ascontiguousarray(overlap_table.imag).ravel()
+
+    def table_overlaps(j, k, _):
+        flat = j * big_k + k
+        return table_re[flat], table_im[flat], None
+
     # a sample is weight * i sign(z_k) * (re + i im) = w_k (-im + i re)
     signed_weight = sampler.weight * np.sign(series.grid.z_nodes)
+
+    def samples():
+        for _, k, _, re, im in _blocks(sampler, n_s, noise_mode, lambda c: rng,
+                                       table_overlaps):
+            w = signed_weight[k]
+            yield np.negative(im * w, out=im), np.multiply(re, w, out=re)
+
+    if schedule is not None:
+        counts = np.asarray(schedule, dtype=np.int64)
+        sums = _running_sums(samples(), counts, n_s, 2)
+        return (sums[0] + 1j * sums[1]) / counts
     total = np.complex128(0)
-    run_re = run_im = 0.0
-    for start in range(0, n_s, DRAW_BLOCK):
-        b = min(DRAW_BLOCK, n_s - start)
-        j = sampler.p_y.table.draw_batch(rng, b)
-        k = sampler.p_z.table.draw_batch(rng, b)
-        flat = j * big_k + k
-        re, im = table_re[flat], table_im[flat]
-        if noise_mode == "bernoulli":
-            re = np.where(rng.random(b) < (1 + re) / 2, 1.0, -1.0)
-            im = np.where(rng.random(b) < (1 + im) / 2, 1.0, -1.0)
-        elif noise_mode == "gaussian":
-            re += rng.standard_normal(b)
-            im += rng.standard_normal(b)
-        w = signed_weight[k]
-        z_re = np.negative(im * w, out=im)
-        z_im = np.multiply(re, w, out=re)
-        if schedule is None:
-            z = np.empty(b, dtype=complex)
-            z.real, z.imag = z_re, z_im
-            total += z.sum()
-            continue
-        # one sequential running sum over the whole stream
-        z_re[0] += run_re
-        z_im[0] += run_im
-        np.cumsum(z_re, out=z_re)
-        np.cumsum(z_im, out=z_im)
-        run_re, run_im = z_re[-1], z_im[-1]
-        inside = (counts > start) & (counts <= start + b)
-        at = counts[inside] - start - 1
-        means[inside] = (z_re[at] + 1j * z_im[at]) / counts[inside]
-    if schedule is None:
-        return np.array(total / n_s)
-    return means
+    for z_re, z_im in samples():
+        z = np.empty(len(z_re), dtype=complex)
+        z.real, z.imag = z_re, z_im
+        total += z.sum()
+    return np.array(total / n_s)
 
 
 def exhaustive_mean(problem: Problem, config: KernelConfig) -> complex:

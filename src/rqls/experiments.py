@@ -15,6 +15,7 @@ import numpy as np
 from .estimator import (
     KernelConfig,
     Problem,
+    _running_sums,
     exhaustive_mean,
     monte_carlo_mean,
     overlap_table_exact,
@@ -25,15 +26,12 @@ from .fourier import build_series, fourier_params, truncation_params
 from .kernel_rte import sample_rte_overlaps_batch, segment_model
 from .pauli import PauliDecomposition
 from .randmat import conditioned_spectrum
+from .sampler import DRAW_BLOCK, sample_rng
 from .simulator import exact_evolution
 
 TABLE1_KAPPAS = (10, 100, 1000)
 TABLE1_EPS_F = (1e-2, 1e-3, 1e-4, 1e-5)
 HEAVY_KAPPA = 1000
-
-
-def _stream(master_seed: int, *key) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((master_seed, *key)))
 
 
 def log_schedule(n_min: int, n_max: int, points_per_decade: int = 10):
@@ -70,7 +68,7 @@ def table1_rows(trials: int = 0, heavy: bool = False, master_seed: int = 0):
             }
             if trials > 0 and (kappa < HEAVY_KAPPA or heavy):
                 series = build_series(float(kappa), 1.0, eps, eps)
-                rng = _stream(master_seed, kappa, int(-math.log10(eps_f)))
+                rng = sample_rng(master_seed, kappa, int(-math.log10(eps_f)))
                 worst = 0.0
                 for _ in range(trials):
                     x = conditioned_spectrum(4, float(kappa), rng)
@@ -114,7 +112,7 @@ def rmse_sweep(
             table = overlap_table_pf(problem, cfg)
         sq_errs = np.zeros((trials, len(schedule)))
         for t in range(trials):
-            rng = _stream(master_seed, pi, t)
+            rng = sample_rng(master_seed, pi, t)
             means = monte_carlo_mean(
                 problem.series, table, n_top, noise_mode, rng, schedule
             )
@@ -139,16 +137,18 @@ def rte_single(
     trials: int,
     master_seed: int,
     n_max: int = 20,
-    chunk: int = 25000,
 ) -> dict:
     """RMSE of the alpha^r-weighted RTE estimator of Re<0|e^{-iAt}|0>.
 
     Exact-overlap mode: the only randomness is the LCU term sampling, so
-    the curves isolate the kernel's variance prefactor.
+    the curves isolate the kernel's variance prefactor.  Each trial draws
+    its samples in blocks of DRAW_BLOCK from one stream, and its schedule
+    points are running means of that stream.
     """
     dim = 1 << d_unit.n_qubits
     psi = np.zeros(dim, dtype=complex)
     psi[0] = 1.0
+    counts = np.asarray(schedule, dtype=np.int64)
     n_top = int(schedule[-1])
     out = {}
     for ti, tau in enumerate(taus):
@@ -156,22 +156,11 @@ def rte_single(
         truth = float((psi.conj() @ exact_evolution(d_unit, tau) @ psi).real)
         sq_errs = np.zeros((trials, len(schedule)))
         for t in range(trials):
-            rng = _stream(master_seed, ti, t)
-            means = np.empty(len(schedule))
-            done = 0
-            running = 0.0
-            si = 0
-            while done < n_top:
-                m = min(chunk, n_top - done)
-                vals = sample_rte_overlaps_batch(
-                    d_unit, model, r, psi, psi, m, rng
-                )
-                cs = running + np.cumsum(model.alpha_power_r * vals.real)
-                while si < len(schedule) and schedule[si] <= done + m:
-                    means[si] = cs[schedule[si] - done - 1] / schedule[si]
-                    si += 1
-                running = cs[-1]
-                done += m
+            rng = sample_rng(master_seed, ti, t)
+            blocks = ((model.alpha_power_r * sample_rte_overlaps_batch(
+                d_unit, model, r, psi, psi, min(DRAW_BLOCK, n_top - start), rng).real,)
+                for start in range(0, n_top, DRAW_BLOCK))
+            means = _running_sums(blocks, counts, n_top, 1)[0] / counts
             sq_errs[t] = (means - truth) ** 2
         out[float(tau)] = {
             "n_s": [int(n) for n in schedule],
@@ -208,7 +197,7 @@ def hoeffding_coverage(
     target = exhaustive_mean(problem, KernelConfig("exact"))
     failures = 0
     for run in range(runs):
-        rng = _stream(master_seed, run)
+        rng = sample_rng(master_seed, run)
         mean = monte_carlo_mean(series, table, res.n_s, "bernoulli", rng)
         if abs(complex(mean) - target) > eps / 2:
             failures += 1

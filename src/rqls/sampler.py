@@ -22,10 +22,10 @@ from .fourier import FourierSeries
 DRAW_BLOCK = 8192
 
 
-def sample_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Deterministic stream keyed by (master_seed, index): one per chunk in
-    `estimator.run_solver`, one per sample in `sample_time`."""
-    return np.random.default_rng(np.random.SeedSequence((master_seed, index)))
+def sample_rng(master_seed: int, *key) -> np.random.Generator:
+    """Deterministic stream keyed by (master_seed, *key): one per chunk in
+    `estimator.run_solver`, one per trial in `experiments`."""
+    return np.random.default_rng(np.random.SeedSequence((master_seed, *key)))
 
 
 class AliasTable:
@@ -130,9 +130,3 @@ class TimeSampler:
         omega = 1j * float(np.sign(z))
         return FourierSample(j, k, tau, omega, self.weight)
 
-
-def sample_time(
-    series: FourierSeries, master_seed: int, sample_index: int
-) -> FourierSample:
-    """One Fourier sample from the per-(seed, index) deterministic stream."""
-    return TimeSampler(series).sample(sample_rng(master_seed, sample_index))

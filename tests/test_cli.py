@@ -223,12 +223,11 @@ def test_rte_single_tiny(tmp_path):
     assert all(float(r[2]) >= 0 for r in rows)
 
 
-def test_threads_recorded_in_manifest():
-    res = run_cli([
-        "--threads", "4", "params", "--kappa-star", "10",
-        "--eps-t", "5e-3", "--eps-d", "5e-3",
-    ])
-    assert json.loads(res.output)["threads"] == 4
+def test_threads_option_is_gone():
+    args = ["params", "--kappa-star", "10", "--eps-t", "5e-3", "--eps-d", "5e-3"]
+    result = CliRunner().invoke(main, ["--threads", "4", *args])
+    assert result.exit_code == 2 and "No such option" in result.output
+    assert "threads" not in json.loads(run_cli(args).output)
 
 
 @pytest.mark.parametrize("args, message", [
@@ -255,3 +254,14 @@ def test_solve_rte_weight_overflow_is_click_error():
     assert result.exit_code == 1, result.output
     assert not isinstance(result.exception, ValueError)
     assert "Error:" in result.output and "log10 alpha^r = " in result.output
+
+
+def test_rte_single_weight_overflow_is_click_error():
+    # tau = 2000 in r = 2 segments: log10 alpha^r = 376
+    result = CliRunner().invoke(main, [
+        "rte-single", "--taus", "2000", "--r", "2", "--n-max", "150",
+        "--max-samples", "100", "--trials", "1",
+    ])
+    assert result.exit_code == 1, result.output
+    assert not isinstance(result.exception, ValueError)
+    assert "Error:" in result.output and "log10 alpha^r = 376.158" in result.output

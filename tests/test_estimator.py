@@ -519,4 +519,14 @@ def test_run_solver_rte_prefactor_carries_phase_and_weight(problem):
 
 def test_shots_reject_non_unitary_overlaps():
     with pytest.raises(ValueError, match="non-unitary"):
-        _shots(np.array([0.5 + 1.01j]), "bernoulli", np.random.default_rng(0))
+        _shots(np.array([0.5]), np.array([1.01]), "bernoulli", np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("noise_mode", ["exact", "gaussian", "bernoulli"])
+@pytest.mark.parametrize("bad", [1.01, 1.01j])
+def test_monte_carlo_mean_rejects_non_unitary_table(problem, noise_mode, bad):
+    # a Bernoulli shot of Re > 1 would be a certain +1, so every noise mode
+    # checks the drawn table entries as run_solver checks its overlaps
+    table = np.full_like(overlap_table_exact(problem), bad)
+    with pytest.raises(ValueError, match="non-unitary"):
+        monte_carlo_mean(problem.series, table, 100, noise_mode, np.random.default_rng(0))

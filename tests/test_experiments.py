@@ -11,9 +11,11 @@ from rqls.experiments import (
     table1_rows,
 )
 from rqls.fourier import build_series
+from rqls.kernel_rte import sample_rte_overlaps_batch, segment_model
 from rqls.pauli import commutator_constant
 from rqls.randmat import gen_matrix
-from rqls.simulator import StateVector
+from rqls.sampler import DRAW_BLOCK, sample_rng
+from rqls.simulator import StateVector, exact_evolution
 
 
 def test_log_schedule_shape():
@@ -63,6 +65,32 @@ def test_rte_single_small():
     assert curve["alpha_power_r"] <= np.exp(1.0 / 4) + 1e-9
     # more samples, smaller error on average
     assert curve["rmse"][1] < curve["rmse"][0] * 2
+
+
+def test_rte_single_means_are_one_stream_across_blocks():
+    # each trial draws DRAW_BLOCK samples at a time from its stream; its
+    # running means at counts on both sides of the block edge are those of
+    # one cumulative sum over the concatenated draws
+    d_unit = gen_matrix(1, 4.0, np.random.default_rng(1)).decomposition.rescaled()
+    tau, r, n_max, trials, seed = 1.0, 3, 6, 2, 5
+    n_top = DRAW_BLOCK + 500
+    schedule = [1, DRAW_BLOCK, DRAW_BLOCK + 1, n_top]
+    got = rte_single(d_unit, [tau], r, schedule, trials, seed, n_max=n_max)[tau]["rmse"]
+    model = segment_model(tau, r, n_max)
+    psi = StateVector.basis(1, 0).amplitudes
+    truth = (psi.conj() @ exact_evolution(d_unit, tau) @ psi).real
+    counts = np.array(schedule)
+    sq_errs = []
+    for t in range(trials):
+        rng = sample_rng(seed, 0, t)
+        vals = np.concatenate([
+            sample_rte_overlaps_batch(d_unit, model, r, psi, psi, m, rng)
+            for m in (DRAW_BLOCK, n_top - DRAW_BLOCK)
+        ])
+        means = np.cumsum(model.alpha_power_r * vals.real)[counts - 1] / counts
+        sq_errs.append((means - truth) ** 2)
+    want = np.sqrt(np.mean(sq_errs, axis=0))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_hoeffding_coverage_within_guarantee():

@@ -9,7 +9,6 @@ from rqls.sampler import (
     TimeSampler,
     build_distributions,
     sample_rng,
-    sample_time,
 )
 
 
@@ -24,6 +23,12 @@ def test_sample_rng_deterministic():
     assert np.array_equal(a, b)
     c = sample_rng(7, 4).random(4)
     assert not np.array_equal(a, c)
+
+
+def test_sample_rng_is_keyed_by_the_whole_key():
+    want = np.random.default_rng(np.random.SeedSequence((7, 3, 2))).random(4)
+    assert np.array_equal(sample_rng(7, 3, 2).random(4), want)
+    assert not np.array_equal(sample_rng(7, 3).random(4), want)
 
 
 def test_alias_table_validation():
@@ -100,12 +105,6 @@ def test_sample_batch_matches_scalar_path(series):
     z = series.grid.z_nodes[k]
     assert np.allclose(tau, series.grid.y_nodes[j] * z)
     assert np.allclose(omega, 1j * np.sign(z))
-
-
-def test_sample_time_deterministic(series):
-    a = sample_time(series, 42, 17)
-    b = sample_time(series, 42, 17)
-    assert (a.j, a.k) == (b.j, b.k)
 
 
 def test_expectation_identity(series):
