@@ -36,6 +36,7 @@ from .fourier import build_series, fourier_params, rescale, truncation_params
 from .kernel_rte import RTEWeightOverflowError
 from .pauli import PauliDecomposition, commutator_constant
 from .randmat import conditioned_spectrum, gen_matrix
+from .sampler import sample_rng
 from .simulator import StateVector
 
 
@@ -78,7 +79,7 @@ def main():
 @click.option("--out", default=None, type=click.Path())
 def gen_matrix_cmd(n_qubits, kappa, seed, out):
     """Random Hermitian matrix with condition number exactly kappa."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+    rng = sample_rng(seed, 0)
     art = gen_matrix(n_qubits, kappa, rng)
     config = {"command": "gen-matrix", "n_qubits": n_qubits, "kappa": kappa}
     payload = _manifest(config, seed)
@@ -145,7 +146,7 @@ def verify_series_cmd(kappa_star, lam, eps_t, eps_d, trials, seed, out):
     """Measure the worst scalar series error over random spectra."""
     series = build_series(kappa_star, lam, eps_t, eps_d)
     kt = series.kappa_tilde
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
+    rng = sample_rng(seed, 1)
     xs = np.concatenate(
         [conditioned_spectrum(4, kt, rng) for _ in range(trials)]
     )
@@ -224,7 +225,7 @@ def _load_problem(matrix_path, n_qubits, kappa, seed, eps_t, eps_d, kappa_star):
         d = PauliDecomposition.from_json(art["artifact"]["decomposition"])
         kappa_eff = art["artifact"]["kappa"]
     else:
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+        rng = sample_rng(seed, 0)
         d = gen_matrix(n_qubits, kappa, rng).decomposition
         kappa_eff = kappa
     ks = kappa_star if kappa_star is not None else kappa_eff
@@ -338,7 +339,7 @@ def rmse_sweep_cmd(kappa, eps_f, fixed_r, max_samples, trials, noise,
 def rte_single_cmd(taus, r_seg, n_max, max_samples, trials, kappa, seed, out):
     """RMSE of the RTE estimator of a single evolved overlap per tau."""
     tau_list = [float(t) for t in taus.split(",")]
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+    rng = sample_rng(seed, 0)
     d_unit = gen_matrix(2, kappa, rng).decomposition.rescaled()
     schedule = log_schedule(100, max_samples)
     try:

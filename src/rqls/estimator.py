@@ -29,8 +29,8 @@ from .pauli import _I_POWERS, PauliDecomposition, materialize
 from .sampler import DRAW_BLOCK, TimeSampler, sample_rng
 from .simulator import (
     EXACT_EVOLUTION_QUBIT_GUARD,
-    NOISE_MODES,
     StateVector,
+    shots,
     spectrum,
 )
 
@@ -353,44 +353,27 @@ def _sample_overlaps(problem, config, taus, rs, at, rng):
     return v, extra
 
 
-def _shots(re: np.ndarray, im: np.ndarray, noise_mode: str, rng: np.random.Generator):
-    """One Hadamard-test shot each for the real parts re and the imaginary
-    parts im of the overlaps, elementwise, as `hadamard_shot` draws them:
-    all real parts, then all imaginary parts.  Gaussian noise is added in
-    place."""
-    worst = max(np.abs(re).max(), np.abs(im).max())
-    if worst > 1 + 1e-9:
-        raise ValueError(f"|overlap part| = {worst} > 1: non-unitary kernel?")
-    if noise_mode == "bernoulli":
-        re = np.where(rng.random(len(re)) < (1 + re) / 2, 1.0, -1.0)
-        im = np.where(rng.random(len(im)) < (1 + im) / 2, 1.0, -1.0)
-    elif noise_mode == "gaussian":
-        re += rng.standard_normal(len(re))
-        im += rng.standard_normal(len(im))
-    return re, im
-
-
 def _blocks(sampler: TimeSampler, n_s: int, noise_mode: str, stream, overlaps):
     """The Monte Carlo loop of `run_solver` and `monte_carlo_mean`.
 
     Takes n_s samples in blocks of DRAW_BLOCK.  Block c draws from the
     generator stream(c), in this order: its j, then its k (alias draws),
-    then whatever overlaps(j, k, rng) draws, then the shot noise (`_shots`).
+    then whatever overlaps(j, k, rng) draws, then the shot noise
+    (`simulator.shots`), real parts, then imaginary parts.
     overlaps returns (Re, Im) of each sample's overlap and one more value,
     which is passed on.  Yields per block (start, k, that value, shot_re,
     shot_im).
     """
     if n_s < 1:
         raise ValueError(f"n_s must be >= 1, got {n_s}")
-    if noise_mode not in NOISE_MODES:
-        raise ValueError(f"unknown noise mode {noise_mode!r}")
     for c, start in enumerate(range(0, n_s, DRAW_BLOCK)):
         b = min(DRAW_BLOCK, n_s - start)
         rng = stream(c)
         j = sampler.p_y.table.draw_batch(rng, b)
         k = sampler.p_z.table.draw_batch(rng, b)
         re, im, passed = overlaps(j, k, rng)
-        yield (start, k, passed, *_shots(re, im, noise_mode, rng))
+        re = shots(re, noise_mode, rng)
+        yield start, k, passed, re, shots(im, noise_mode, rng)
 
 
 def _running_sums(blocks, counts: np.ndarray, n_s: int, n_parts: int) -> np.ndarray:
@@ -427,7 +410,6 @@ def run_solver(
     noise_mode: str,
     master_seed: int,
     keep_records: bool = False,
-    compute_truth: bool = True,
 ) -> SolveReport:
     """Chunked Monte Carlo estimate (any kernel, any noise mode).
 
@@ -439,8 +421,9 @@ def run_solver(
     imaginary parts.  Overlaps are computed once per distinct pair of the
     chunk, in one batched call (exact, pf); rte folds the samples of all
     the chunk's pairs together, sorted by r, in groups of consecutive pairs
-    bounded by `kernel_rte.FOLD_GROUP_ENTRIES`, with the same results as
-    one fold per pair.
+    whose segment count (sum of r) is bounded by
+    `kernel_rte.FOLD_GROUP_ENTRIES`, with the same results as one fold per
+    pair.  truth and abs_error come from a dense solve up to 10 qubits.
 
     diagnostics: "kernel_cache_size", the number of distinct grid pairs
     evaluated (summed over chunks); "certified", whether the spectrum of
@@ -478,7 +461,7 @@ def run_solver(
             ))
     estimate = complex(math.fsum(sums_re) / n_s, math.fsum(sums_im) / n_s)
     truth = abs_error = None
-    if compute_truth and problem.decomposition.n_qubits <= 10:
+    if problem.decomposition.n_qubits <= 10:
         truth = problem.truth()
         abs_error = abs(estimate - truth)
     diagnostics = {"kernel_cache_size": n_pairs,

@@ -34,13 +34,11 @@ TABLE1_EPS_F = (1e-2, 1e-3, 1e-4, 1e-5)
 HEAVY_KAPPA = 1000
 
 
-def log_schedule(n_min: int, n_max: int, points_per_decade: int = 10):
-    """Sorted unique integer sample counts, log-spaced."""
+def log_schedule(n_min: int, n_max: int):
+    """Sorted unique integer sample counts, log-spaced, 10 points a decade."""
     if not 1 <= n_min <= n_max:
         raise ValueError("need 1 <= n_min <= n_max")
-    n_points = max(2, int(round(
-        points_per_decade * math.log10(n_max / n_min)
-    )) + 1)
+    n_points = max(2, int(round(10 * math.log10(n_max / n_min))) + 1)
     pts = np.unique(np.round(np.geomspace(n_min, n_max, n_points)).astype(int))
     return pts.tolist()
 

@@ -17,6 +17,8 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 GL_MAX_DEGREE = 10**6
 SERIES_TERM_GUARD = 2**31
+# (y, z) entries of one block of FourierSeries.evaluate's phase table
+EVALUATE_CHUNK = 4_000_000
 
 
 class SeriesSizeError(ValueError):
@@ -308,7 +310,7 @@ class FourierSeries:
     def sum_abs_alpha(self) -> float:
         return self.N_y * self.N_z
 
-    def evaluate(self, x, max_chunk: int = 4_000_000) -> np.ndarray:
+    def evaluate(self, x) -> np.ndarray:
         """Scalar series value F(x) = sum alpha exp(-i x t) (vectorized in x).
 
         The z nodes come in exact +-z_k pairs and the z amplitudes a_k are
@@ -324,7 +326,7 @@ class FourierSeries:
         amp_z = self.z_amplitudes()[positive]
         wy = self.grid.wy_weights
         out = np.zeros(xs.shape)
-        rows_per_chunk = max(1, max_chunk // max(1, len(z)))
+        rows_per_chunk = max(1, EVALUATE_CHUNK // max(1, len(z)))
         for start in range(0, len(y), rows_per_chunk):
             sl = slice(start, start + rows_per_chunk)
             t_block = np.multiply.outer(y[sl], z)  # (Jc, K/2)

@@ -21,8 +21,10 @@ segment and one for T.
 One fold takes samples of different r together: sorted by r, descending,
 with their segments right-aligned, the samples that still have a segment
 at each step of the reverse sweep are a prefix of the batch, and the step
-touches only that prefix.  The overlap path folds the samples of many
-grid pairs at once, in groups bounded by FOLD_GROUP_ENTRIES.
+touches only that prefix.  The draws are packed in that sweep order, one
+entry per segment, so a group's arrays hold exactly its sum of r.  The
+overlap path folds the samples of many grid pairs at once, in groups whose
+sum of r is bounded by FOLD_GROUP_ENTRIES.
 """
 
 from __future__ import annotations
@@ -48,9 +50,9 @@ from .sampler import DRAW_BLOCK, AliasTable
 NMAX_UNDERFLOW_CLAMP = 150
 RTE_DENSE_QUBIT_GUARD = 10
 TERM_TABLE_CACHE_SIZE = 8
-# draw entries (segments x samples) of one fold group's rotation and
-# tangent rectangles: 16 bytes each, so 4 MB at most (unless one pair alone
-# is larger)
+# draw entries (segments, the sum of r) of one fold group's packed rotation
+# and tangent arrays: 16 bytes each, so 4 MB for a group of several pairs;
+# a pair larger than this is a group of its own
 FOLD_GROUP_ENTRIES = 1 << 18
 
 
@@ -242,12 +244,13 @@ def _frames(d, model, r, n, rng):
 def _fold(d, rot, tan, r, tx, tz, scale, block) -> np.ndarray:
     """T R'_1 ... R'_{r_i} block[i] for each sample i, block of shape (n, dim, m).
 
-    The samples come sorted by r, descending.  rot and tan are (R, n) in
-    sweep order, R = r[0]: row s holds segment r_i - s of sample i for the
-    samples with r_i > s, a prefix of the row (the rest is never read), so
-    step s touches only that prefix of the state.  The steps' row gathers
-    and coefficients are taken in blocks of at most DRAW_BLOCK state
-    entries, each block within a run of steps of equal prefix length.
+    The samples come sorted by r, descending.  rot and tan hold sum(r)
+    entries packed in sweep order: step s holds segment r_i - s of each
+    sample i with r_i > s, a prefix of the batch, so step s touches only
+    that prefix of the state, and a run of steps of equal prefix length a
+    is one contiguous (steps x a) slice.  The steps' row gathers and
+    coefficients are taken in blocks of at most DRAW_BLOCK state entries,
+    each block within such a run.
     """
     n, dim, m = block.shape
     t = _term_tables(d)
@@ -255,7 +258,7 @@ def _fold(d, rot, tan, r, tx, tz, scale, block) -> np.ndarray:
     v = np.array(block, dtype=complex, order="C")  # flat below is a view of v
     flat = v.reshape(n * dim, m)
     state = flat[:, 0] if m == 1 else flat  # one column: fold a flat vector
-    lo = 0
+    lo = off = 0
     # steps [lo, hi) have the a samples of r >= hi active, a run of equal
     # prefix length ending at each distinct r
     for a, hi in zip(range(n, 0, -1), reversed(r.tolist())):
@@ -266,17 +269,18 @@ def _fold(d, rot, tan, r, tx, tz, scale, block) -> np.ndarray:
         head, g = state[:k], np.empty((k, m)[:state.ndim], dtype=complex)
         offsets = np.tile(rows0[:a], (min(per_block, hi - lo), 1))
         for b in range(lo, hi, per_block):
-            e = min(b + per_block, hi)
-            # flat (steps x a) term indices: a view when the steps are whole
-            terms = rot[b:e, :a].reshape(-1)
+            steps = min(per_block, hi - b)
+            # flat (steps x a) term indices
+            terms = rot[off:off + steps * a]
             # the ndarray.take methods skip np.take's dispatch, which costs
             # as much as the gathers themselves on narrow steps
             rows = t.src.take(terms, axis=0)
             rows += offsets[:len(terms)]
             c = t.coef.take(terms, axis=0)
-            c *= tan[b:e, :a].reshape(-1, 1)
-            rows = rows.reshape(e - b, k)
-            c = c.reshape((e - b, k) if m == 1 else (e - b, k, 1))
+            c *= tan[off:off + steps * a].reshape(-1, 1)
+            off += steps * a
+            rows = rows.reshape(steps, k)
+            c = c.reshape((steps, k) if m == 1 else (steps, k, 1))
             for rows_s, c_s in zip(rows, c):
                 # positional: take parses keywords slowly; "wrap" leaves
                 # out unbuffered (the rows are in range)
@@ -301,7 +305,7 @@ def sample_rte_unitary(
     if d.n_qubits > RTE_DENSE_QUBIT_GUARD:
         raise ValueError(f"n_qubits={d.n_qubits} exceeds dense guard")
     e, tx, tz, scale, tan, rot, order_idx, cx, cz, cut = next(_frames(d, model, r, 1, rng))
-    out = _fold(d, rot.T[::-1], tan.T[::-1], np.array([r]), tx, tz, scale,
+    out = _fold(d, rot[0, ::-1], tan[0, ::-1], np.array([r]), tx, tz, scale,
                 np.eye(1 << d.n_qubits, dtype=complex)[None])
     # the scalar keeps the phases within each segment's prefix; the phase
     # of multiplying the canonical segment prefixes belongs to the matrix
@@ -375,61 +379,57 @@ def _frame_overlaps(d, pairs, psi, phi, rng):
     pairs is an iterable of (model, r, count).  The draws are `_frames`' for
     each pair in turn, and the results come pair by pair, each pair's
     samples in draw order.  Consecutive pairs are folded together while
-    their (max r) x (samples) rectangle of draws stays within
-    FOLD_GROUP_ENTRIES, at least one pair at a time.
+    their draws, r * count summed over the group, stay within
+    FOLD_GROUP_ENTRIES; a larger pair is a group of its own.
     """
     if d.n_qubits > RTE_DENSE_QUBIT_GUARD:
         raise ValueError(f"n_qubits={d.n_qubits} exceeds dense guard")
     psi = np.asarray(psi, dtype=complex)
     conj_phi = np.conj(phi)
-    parts, group = [], []
-    big_r = n = 0
+    parts, group, entries = [], [], 0
     for model, r, count in pairs:
-        if group and max(big_r, r) * (n + count) > FOLD_GROUP_ENTRIES:
-            parts.append(_fold_group(d, group, psi, conj_phi))
-            group, big_r, n = [], 0, 0
-        group.append((r, *_pair_draws(d, model, r, count, rng)))
-        big_r, n = max(big_r, r), n + count
-    parts.append(_fold_group(d, group, psi, conj_phi))
+        if group and entries + r * count > FOLD_GROUP_ENTRIES:
+            parts.append(_fold_group(d, group, psi, conj_phi, rng))
+            group, entries = [], 0
+        group.append((model, r, count))
+        entries += r * count
+    parts.append(_fold_group(d, group, psi, conj_phi, rng))
     e, overlaps = zip(*parts)
     return np.concatenate(e), np.concatenate(overlaps)
 
 
-def _pair_draws(d, model, r, n, rng):
-    """(e, tx, tz, scale, tan, rot) of n samples drawn by `_frames`, with tan
-    and rot (r, n) in sweep order: row s holds segment r - s of each sample."""
-    e, tx, tz = (np.empty(n, dtype=np.int64) for _ in range(3))
-    scale, tan = np.empty(n), np.empty((r, n))
-    rot = np.empty((r, n), dtype=np.int64)
-    i = 0
-    for e_b, tx_b, tz_b, scale_b, tan_b, rot_b, *_ in _frames(d, model, r, n, rng):
-        at = slice(i, i + len(e_b))
-        e[at], tx[at], tz[at], scale[at] = e_b, tx_b, tz_b, scale_b
-        tan[:, at], rot[:, at] = tan_b[:, ::-1].T, rot_b[:, ::-1].T
-        i = at.stop
-    return e, tx, tz, scale, tan, rot
+def _fold_group(d, group, psi, conj_phi, rng):
+    """(e, overlap) of every sample of a group of (model, r, count) pairs, in
+    the group's order, from one fold of the group sorted by r.
 
-
-def _fold_group(d, group, psi, conj_phi):
-    """(e, overlap) of every sample of a group of pairs, (r, *`_pair_draws`)
-    each, in the group's order, from one fold of the group sorted by r."""
-    rs = np.array([g[0] for g in group])
-    counts = np.array([len(g[1]) for g in group])
+    Each pair is drawn by `_frames` in turn, and each block goes straight to
+    its slots in the packed sweep layout of `_fold`: segment c of sorted
+    sample p to start[r - 1 - c] + p, step s starting at start[s]."""
+    rs = np.array([r for _, r, _ in group])
+    counts = np.array([count for *_, count in group])
     r_sample = np.repeat(rs, counts)
     # a stable sort keeps each pair's samples together and in order
     order = np.argsort(-r_sample, kind="stable")
     col = np.empty_like(order)
     col[order] = np.arange(len(order))
-    if len(group) == 1:  # one pair is its own rectangle
-        *_, tan, rot = group[0]
-    else:
-        rot = np.zeros((rs.max(), len(order)), dtype=np.int64)
-        tan = np.zeros(rot.shape)
-        for (r, *_, tan_p, rot_p), c0 in zip(group, col[_scan(np.add, counts)[:-1]].tolist()):
-            at = slice(c0, c0 + rot_p.shape[1])
-            rot[:r, at], tan[:r, at] = rot_p, tan_p
-    e, tx, tz, scale = (np.concatenate([g[i] for g in group]) for i in range(1, 5))
-    out = _fold(d, rot, tan, r_sample[order], tx[order], tz[order], scale[order],
+    # step s holds one entry per sample of r > s
+    active = np.cumsum(np.bincount(r_sample)[:0:-1])[::-1]
+    start = _scan(np.add, active)
+    rot = np.empty(start[-1], dtype=np.int64)
+    tan = np.empty(start[-1])
+    e, tx, tz = (np.empty(len(order), dtype=np.int64) for _ in range(3))
+    scale = np.empty(len(order))
+    i = 0  # the group's samples in draw order; a block's are consecutive
+    for model, r, count in group:
+        dest = None
+        for e_b, tx_b, tz_b, scale_b, tan_b, rot_b, *_ in _frames(d, model, r, count, rng):
+            p, m = col[i], len(e_b)
+            e[p:p + m], tx[p:p + m], tz[p:p + m], scale[p:p + m] = e_b, tx_b, tz_b, scale_b
+            if dest is None:  # slots of the pair's first block, the largest
+                dest = np.add.outer(np.arange(m), start[r - 1::-1])
+            rot[p:][dest[:m]], tan[p:][dest[:m]] = rot_b, tan_b
+            i += m
+    out = _fold(d, rot, tan, r_sample[order], tx, tz, scale,
                 np.broadcast_to(psi[:, None], (len(order), len(psi), 1)))
     v = out[:, :, 0][col]
     overlaps = v @ conj_phi
@@ -438,7 +438,7 @@ def _fold_group(d, group, psi, conj_phi):
     single = np.repeat(counts == 1, counts)
     if single.any():
         overlaps[single] = (v[single, None, :] @ conj_phi[:, None])[:, 0, 0]
-    return e, overlaps
+    return e[col], overlaps
 
 
 def rte_bias_log(

@@ -247,12 +247,12 @@ class PauliDecomposition:
         return cls(terms[0][1].n_qubits, terms)
 
 
-def pauli_decompose(a: np.ndarray, prune_tol: float = COEFF_PRUNE_TOL) -> PauliDecomposition:
+def pauli_decompose(a: np.ndarray) -> PauliDecomposition:
     """Decompose a Hermitian matrix into the Pauli basis.
 
     Terms are emitted in lexicographic (x_mask, z_mask) order; coefficients
-    with magnitude <= prune_tol are dropped to avoid inflating the term count
-    with floating-point dust.
+    with magnitude <= COEFF_PRUNE_TOL are dropped to avoid inflating the
+    term count with floating-point dust.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -273,7 +273,7 @@ def pauli_decompose(a: np.ndarray, prune_tol: float = COEFF_PRUNE_TOL) -> PauliD
         traces = np.sum(phase * a[src, rows], axis=1)
         for z, tr in enumerate(traces):
             c = tr.real / dim
-            if abs(c) > prune_tol:
+            if abs(c) > COEFF_PRUNE_TOL:
                 terms.append((float(c), PauliString(n, x, z)))
     return PauliDecomposition(n, tuple(terms))
 

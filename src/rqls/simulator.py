@@ -66,6 +66,25 @@ def overlap(phi: StateVector, unitary: np.ndarray, psi: StateVector) -> complex:
     return complex(phi.amplitudes.conj() @ unitary @ psi.amplitudes)
 
 
+def shots(v: np.ndarray, noise_mode: str, rng: np.random.Generator) -> np.ndarray:
+    """One Hadamard-test shot for each real overlap part in v, elementwise.
+
+    bernoulli: the faithful +-1 outcome with P(+1) = (1 + v)/2;
+    gaussian: v plus a standard-normal draw (conservative shot surrogate),
+    added in place; exact: v itself.  All three are unbiased for v.
+    """
+    if noise_mode not in NOISE_MODES:
+        raise ValueError(f"unknown noise mode {noise_mode!r}")
+    worst = np.abs(v).max()
+    if worst > 1 + 1e-9:
+        raise ValueError(f"|overlap part| = {worst} > 1: non-unitary kernel?")
+    if noise_mode == "bernoulli":
+        return np.where(rng.random(len(v)) < (1 + v) / 2, 1.0, -1.0)
+    if noise_mode == "gaussian":
+        v += rng.standard_normal(len(v))
+    return v
+
+
 def hadamard_shot(
     phi: StateVector,
     unitary: np.ndarray,
@@ -74,24 +93,9 @@ def hadamard_shot(
     noise_mode: str,
     rng: np.random.Generator,
 ) -> ShotOutcome:
-    """One shot estimating Re or Im <phi|U|psi>.
-
-    bernoulli: the faithful +-1 outcome with P(+1) = (1 + v)/2;
-    gaussian: v plus a standard-normal draw (conservative shot surrogate);
-    exact: v itself.  All three are unbiased for v.
-    """
+    """One shot estimating Re or Im <phi|U|psi>: `shots` of that one part."""
     if part not in ("real", "imaginary"):
         raise ValueError(f"unknown part {part!r}")
-    if noise_mode not in NOISE_MODES:
-        raise ValueError(f"unknown noise mode {noise_mode!r}")
     v = overlap(phi, unitary, psi)
     v = v.real if part == "real" else v.imag
-    if abs(v) > 1 + 1e-9:
-        raise ValueError(f"|overlap part| = {abs(v)} > 1: non-unitary kernel?")
-    if noise_mode == "bernoulli":
-        value = 1.0 if rng.random() < (1 + v) / 2 else -1.0
-    elif noise_mode == "gaussian":
-        value = v + rng.standard_normal()
-    else:
-        value = v
-    return ShotOutcome(float(value), part)
+    return ShotOutcome(float(shots(np.array([v]), noise_mode, rng)[0]), part)

@@ -8,7 +8,6 @@ from rqls.estimator import (
     KernelConfig,
     Problem,
     SampleRecord,
-    _shots,
     exhaustive_mean,
     monte_carlo_mean,
     overlap_table_exact,
@@ -25,7 +24,7 @@ from rqls.kernel_rte import sample_rte_overlaps_batch, segment_model
 from rqls.pauli import commutator_constant, pauli_decompose
 from rqls.randmat import gen_matrix
 from rqls.sampler import DRAW_BLOCK, TimeSampler, sample_rng
-from rqls.simulator import StateVector, exact_evolution
+from rqls.simulator import StateVector, exact_evolution, shots
 
 
 def make_problem(kappa=10.0, eps=5e-3, seed=0, n_qubits=2, kappa_star=None):
@@ -438,11 +437,11 @@ def test_run_solver_rte_draws_pair_by_pair():
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("group_entries, n_groups", [(None, 1), (2000, 24)])
+@pytest.mark.parametrize("group_entries, n_groups", [(None, 1), (2000, 10)])
 def test_run_solver_rte_mixed_r_matches_pair_by_pair_oracle(monkeypatch, group_entries,
                                                             n_groups):
     # mixed r in one chunk: one frame fold per group of pairs (the whole
-    # chunk at the default bound, 24 groups at 2000 entries), sorted by r,
+    # chunk at the default bound, 10 groups at 2000 entries), sorted by r,
     # gives each sample bit for bit what a fold of its pair alone gives
     if group_entries is not None:
         monkeypatch.setattr(kernel_rte, "FOLD_GROUP_ENTRIES", group_entries)
@@ -498,7 +497,7 @@ def test_run_solver_exact_shots_are_dense_overlaps(problem, config):
 def test_run_solver_bernoulli_mean_within_hoeffding(problem, config):
     # each part of a sample lies in [-w, w]; two chunks and a partial one
     n, delta = 2 * DRAW_BLOCK + 500, 1e-6
-    report = run_solver(problem, config, n, "bernoulli", 11, compute_truth=False)
+    report = run_solver(problem, config, n, "bernoulli", 11)
     w = TimeSampler(problem.series).weight
     half_width = w * math.sqrt(2 * math.log(4 / delta) / n)
     mean = exhaustive_mean(problem, config)
@@ -519,7 +518,7 @@ def test_run_solver_rte_prefactor_carries_phase_and_weight(problem):
 
 def test_shots_reject_non_unitary_overlaps():
     with pytest.raises(ValueError, match="non-unitary"):
-        _shots(np.array([0.5]), np.array([1.01]), "bernoulli", np.random.default_rng(0))
+        shots(np.array([0.5, 1.01]), "bernoulli", np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("noise_mode", ["exact", "gaussian", "bernoulli"])

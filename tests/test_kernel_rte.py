@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rqls import kernel_rte
 from rqls.kernel_rte import (
     NMAX_UNDERFLOW_CLAMP,
     RTEInfeasibleError,
@@ -20,6 +22,7 @@ from rqls.kernel_rte import (
     segment_model,
 )
 from rqls.pauli import (
+    _I_POWERS,
     PauliDecomposition,
     PauliString,
     _popcount_array,
@@ -390,10 +393,17 @@ def decompositions(draw):
 @settings(max_examples=60, deadline=None)
 @given(d=decompositions(), tau=st.floats(-6.0, 6.0), r=st.integers(1, 6),
        n_max=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+@example(d=random_unit_decomposition(1, np.random.default_rng(31)), tau=0.7, r=1, n_max=0,
+         seed=0)
+@example(d=random_unit_decomposition(2, np.random.default_rng(32)), tau=0.7, r=1, n_max=2,
+         seed=1)
+@example(d=random_unit_decomposition(3, np.random.default_rng(33)), tau=-0.7, r=1, n_max=6,
+         seed=2)
 def test_unitary_is_ordered_product_of_drawn_terms(d, tau, r, n_max, seed):
     """phase * U equals the product, segment by segment, of
     i^n (sign c_l P_l for each prefix string) exp(-i theta Q) as dense
-    matrices, built from the documented draws."""
+    matrices, built from the documented draws (r = 1 among the examples:
+    a packed sweep of one entry)."""
     model = segment_model(tau, r, n_max)
     u = sample_rte_unitary(d, model, r, np.random.default_rng(seed))
     order_idx, pre, rot = documented_draws(d, model, r, 1, np.random.default_rng(seed))
@@ -410,3 +420,54 @@ def test_unitary_is_ordered_product_of_drawn_terms(d, tau, r, n_max, seed):
         product = product @ (math.cos(theta) * np.eye(dim)
                              - 1j * math.sin(theta) * d.terms[l][1].to_matrix())
     assert np.abs(u.phase * u.dense_unitary - product).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# fold groups: pairs of (model, r, count) folded together
+
+GROUP_PAIRS = ((5, 3), (1, 4), (200, 1), (3, 2), (1, 1), (40, 1), (1, 30))
+
+
+@pytest.mark.parametrize("group_entries, sizes", [(None, [7]), (100, [2, 1, 4])])
+def test_fold_groups_match_pair_by_pair(monkeypatch, group_entries, sizes):
+    # groups are bounded by their draws, r * count summed over the pairs:
+    # at 100 entries the r = 200 pair is a group of its own, and r = 1
+    # pairs sit in mixed groups; every sample is bit for bit what a fold
+    # of its pair alone gives
+    if group_entries is not None:
+        monkeypatch.setattr(kernel_rte, "FOLD_GROUP_ENTRIES", group_entries)
+    groups = []
+    fold_group = kernel_rte._fold_group
+    monkeypatch.setattr(kernel_rte, "_fold_group",
+                        lambda d, group, *args: groups.append(len(group))
+                        or fold_group(d, group, *args))
+    d = random_unit_decomposition(2, np.random.default_rng(40))
+    rng = np.random.default_rng(41)
+    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    phi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    psi /= np.linalg.norm(psi)
+    phi /= np.linalg.norm(phi)
+    pairs = [(segment_model(1.5, r, 6), r, count) for r, count in GROUP_PAIRS]
+    e, raw = kernel_rte._frame_overlaps(d, pairs, psi, phi, np.random.default_rng(42))
+    assert groups == sizes
+    rng = np.random.default_rng(42)
+    want = np.concatenate([sample_rte_overlaps_batch(d, model, r, psi, phi, count, rng)
+                           for model, r, count in pairs])
+    assert (_I_POWERS[e] * raw).tolist() == want.tolist()
+
+
+def test_fold_group_memory_is_its_draws():
+    # one long sample and many short ones: the packed layout holds
+    # 1000 + 200 draws, where a (max r) x n rectangle holds 1000 x 201
+    d = random_unit_decomposition(1, np.random.default_rng(43))
+    psi = np.array([1, 0], dtype=complex)
+    pairs = [(segment_model(2.0, 1000, 6), 1000, 1), (segment_model(0.5, 1, 6), 1, 200)]
+    kernel_rte._frame_overlaps(d, pairs, psi, psi, np.random.default_rng(0))  # warm caches
+    rectangle_bytes = 1000 * 201 * 16  # int64 terms and float64 tangents
+    tracemalloc.start()
+    try:
+        kernel_rte._frame_overlaps(d, pairs, psi, psi, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rectangle_bytes / 4, peak
