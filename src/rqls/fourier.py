@@ -17,8 +17,8 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 GL_MAX_DEGREE = 10**6
 SERIES_TERM_GUARD = 2**31
-# (y, z) entries of one block of FourierSeries.evaluate's phase table
-EVALUATE_CHUNK = 4_000_000
+# (point, y) entries of one block of FourierSeries.evaluate's Horner sums
+EVALUATE_BLOCK = 4096
 
 
 class SeriesSizeError(ValueError):
@@ -46,14 +46,25 @@ def _legendre_top(deg: int, x: np.ndarray):
     x = 1 this keeps D (and so P') to relative accuracy, where the plain
     recurrence loses it.  Its transfer matrices I + N_n are multiplied in a
     balanced tree, storing N = M - I, so the cost is O(deg) flops in
-    O(log deg) vectorized steps.
+    O(log deg) vectorized steps.  Each level writes its four products into
+    fresh arrays through one shared temporary, in the same order of
+    operations as the plain expressions s1 + s0 + l1 r0 + l2 r2.
     """
     u = 1.0 - x
     n = np.arange(2, deg + 1, dtype=float)[:, None]
-    bu = (2 * n - 1) / n * u
-    # N_n = [[-bu, (n-1)/n], [-bu, -1/n]] acting on (P_{n-1}, D_{n-1})
-    a, b, c, d = -bu, (n - 1) / n, -bu, -1 / n
+    a = (2 * n - 1) / n * u
+    np.negative(a, out=a)
+    # N_n = [[-bu, (n-1)/n], [-bu, -1/n]] acting on (P_{n-1}, D_{n-1});
+    # its first column is one array until the first level combines it
+    b, c, d = (n - 1) / n, a, -1 / n
     p, diff = x, -u  # P_1, D_1
+
+    def entry(s1, s0, l1, r0, l2, r2):  # s1 + s0 + l1 r0 + l2 r2
+        out = np.add(s1, s0, out=np.empty_like(tmp))
+        out += np.multiply(l1, r0, out=tmp)
+        out += np.multiply(l2, r2, out=tmp)
+        return out
+
     while len(a):
         if len(a) % 2:  # apply the lowest factor to the vector
             p, diff = p + a[0] * p + b[0] * diff, diff + c[0] * p + d[0] * diff
@@ -61,8 +72,9 @@ def _legendre_top(deg: int, x: np.ndarray):
         if len(a):  # (I + hi)(I + lo) = I + hi + lo + hi lo
             a1, b1, c1, d1 = (t[1::2] for t in (a, b, c, d))
             a0, b0, c0, d0 = (t[0::2] for t in (a, b, c, d))
-            a, b, c, d = (a1 + a0 + a1 * a0 + b1 * c0, b1 + b0 + a1 * b0 + b1 * d0,
-                          c1 + c0 + c1 * a0 + d1 * c0, d1 + d0 + c1 * b0 + d1 * d0)
+            tmp = np.empty(a1.shape[:1] + u.shape)  # shared by the four entries
+            a, b, c, d = (entry(a1, a0, a1, a0, b1, c0), entry(b1, b0, a1, b0, b1, d0),
+                          entry(c1, c0, c1, a0, d1, c0), entry(d1, d0, c1, b0, d1, d0))
     return p, diff
 
 
@@ -263,6 +275,25 @@ def _z_amplitudes(z_nodes: np.ndarray, dz: float) -> np.ndarray:
     return dz * z_nodes * np.exp(-z_nodes * z_nodes / 2)
 
 
+def _sine_sums(xy: np.ndarray, amp: np.ndarray, z0: float, dz: float) -> np.ndarray:
+    """sum_m amp_m sin(xy (z0 + m dz)) for each entry of xy, by Horner's rule.
+
+    With w = exp(i xy dz) the sum is Im[exp(i xy z0) P(w)], where
+    P(w) = sum_m amp_m w^m: len(amp) - 1 complex multiply-adds in place of
+    the per-term sines.  numpy's vectorized complex multiply runs a block's
+    tail through the same vector code, so an entry's value does not depend
+    on where it sits in a block of two or more entries; a one-entry array
+    takes a scalar loop that rounds differently, and no block is that short.
+    """
+    w = np.exp(1j * (xy * dz))
+    acc = np.full(xy.shape, amp[-1], dtype=complex)
+    for a in amp[-2::-1].tolist():
+        acc *= w
+        acc += a
+    acc *= np.exp(1j * (xy * z0))
+    return acc.imag
+
+
 @dataclass(frozen=True)
 class FourierSeries:
     """The built series: grid, error budget, and normalization constants.
@@ -315,23 +346,29 @@ class FourierSeries:
 
         The z nodes come in exact +-z_k pairs and the z amplitudes a_k are
         odd, so each pair sums to -2i a_k sin(x y_j z_k) and
-        F(x) = (2/sqrt(2 pi)) sum_j wy_j sum_{z_k > 0} a_k sin(x y_j z_k):
-        half the terms, in real sines.  The result keeps the complex dtype,
-        with imaginary part exactly 0.
+        F(x) = (2/sqrt(2 pi)) sum_j wy_j sum_{z_k > 0} a_k sin(x y_j z_k).
+        The positive z_k are z0 + m dz (z0 = dz for odd K, dz/2 for even K),
+        so each row sum over them is a polynomial in exp(i x y_j dz), taken
+        by Horner's rule (`_sine_sums`) in blocks of at most EVALUATE_BLOCK
+        (point, y_j) entries: whole points when a block holds a point's J
+        rows, otherwise near-equal pieces of one point's rows.  The rows are
+        weighted by wy_j with one pairwise sum per point, not a BLAS
+        product, so a point's value does not depend on the other points of
+        the call.  The result keeps the complex dtype, with imaginary part
+        exactly 0.
         """
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         y = self.grid.y_nodes
         positive = self.grid.z_nodes > 0
-        z = self.grid.z_nodes[positive]
         amp_z = self.z_amplitudes()[positive]
-        wy = self.grid.wy_weights
-        out = np.zeros(xs.shape)
-        rows_per_chunk = max(1, EVALUATE_CHUNK // max(1, len(z)))
-        for start in range(0, len(y), rows_per_chunk):
-            sl = slice(start, start + rows_per_chunk)
-            t_block = np.multiply.outer(y[sl], z)  # (Jc, K/2)
-            for i, xi in enumerate(xs):
-                out[i] += wy[sl] @ (np.sin(xi * t_block) @ amp_z)
+        z0 = self.grid.z_nodes[positive][0]
+        out = np.empty(xs.shape)
+        rows = max(1, EVALUATE_BLOCK // len(y))  # points per block, or one
+        for start in range(0, len(xs), rows):
+            xy = np.multiply.outer(xs[start:start + rows], y).ravel()
+            blocks = np.array_split(xy, -(-len(xy) // EVALUATE_BLOCK))
+            sums = np.concatenate([_sine_sums(b, amp_z, z0, self.grid.delta_z) for b in blocks])
+            out[start:start + rows] = (sums.reshape(-1, len(y)) * self.grid.wy_weights).sum(axis=1)
         out = (out * (2 / SQRT_2PI)).astype(complex)
         return out if np.ndim(x) else out[0]
 

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import roots_legendre
 
 from rqls.fourier import (
+    EVALUATE_BLOCK,
     GL_END_SET,
     SQRT_2PI,
     SeriesSizeError,
@@ -187,17 +189,87 @@ def test_series_endpoints(series_10):
     assert err.max() <= 1e-2
 
 
-def test_evaluate_matches_full_complex_sum(series_10):
-    grid = series_10.grid
+def full_complex_sum(series, x):
+    """F(x) as the plain sum of all J*K terms alpha_jk exp(-i x t_jk)."""
+    grid = series.grid
     amp_z = grid.delta_z * grid.z_nodes * np.exp(-grid.z_nodes**2 / 2)
     alpha = 1j / SQRT_2PI * np.multiply.outer(grid.wy_weights, amp_z)
     t = np.multiply.outer(grid.y_nodes, grid.z_nodes)
+    return np.array([(alpha * np.exp(-1j * xi * t)).sum() for xi in x])
+
+
+def sine_sum(series, x):
+    """F(x) as (2/sqrt(2 pi)) sum_j wy_j sum_{z_k > 0} a_k sin(x y_j z_k),
+    one sine per term, a row of y at a time."""
+    grid = series.grid
+    positive = grid.z_nodes > 0
+    z, amp_z = grid.z_nodes[positive], series.z_amplitudes()[positive]
+    rows = np.array([np.sin(x * yj * z) @ amp_z for yj in grid.y_nodes])
+    return 2 / SQRT_2PI * math.fsum(grid.wy_weights * rows)
+
+
+@pytest.fixture(scope="module")
+def series_odd_k():
+    series = build_series(10.0, 1.0, 1e-2, 1e-2)
+    assert (series.grid.J, series.grid.K) == (143, 57)
+    return series
+
+
+def test_evaluate_matches_full_complex_sum(series_10):
     x = np.array([-0.93, -0.1, 0.1, 0.37, 1.0])
-    full = np.array([(alpha * np.exp(-1j * xi * t)).sum() for xi in x])
+    full = full_complex_sum(series_10, x)
     got = series_10.evaluate(x)
     assert got.dtype == complex and np.all(got.imag == 0)
     assert np.abs(got - full).max() <= 1e-13 * np.abs(full).max()
     assert series_10.evaluate(0.37) == got[3]
+
+
+@pytest.mark.parametrize("name", ["series_10", "series_odd_k"])
+def test_evaluate_matches_full_complex_sum_at_domain_ends(name, request):
+    # K = 62 puts the z nodes at dz (m + 1/2), K = 57 at dz m
+    series = request.getfixturevalue(name)
+    kt = series.kappa_tilde
+    x = np.array([-1.0, -1 / kt, 0.0, 1 / kt, 1.0, -0.93, 0.37])
+    full = full_complex_sum(series, x)
+    got = series.evaluate(x)
+    assert got.dtype == complex and np.all(got.imag == 0)
+    assert np.abs(got - full).max() <= 1e-13 * np.abs(full).max()
+    assert got[2] == 0
+    for xi, value in zip(x, got):
+        assert series.evaluate(xi) == value
+
+
+@pytest.mark.parametrize("kappa, eps", [(10.0, 5e-3), (3.0, 1e-2), (250.0, 5e-3)])
+def test_evaluate_point_does_not_depend_on_its_batch(kappa, eps):
+    # enough points for three Horner blocks; at kappa = 250 (J = 4586) every
+    # point's row of y spans two blocks
+    series = build_series(kappa, 1.0, eps, eps)
+    n = 2 * max(1, EVALUATE_BLOCK // series.grid.J) + 1
+    rng = np.random.default_rng(7)
+    x = rng.choice([-1, 1], n) * rng.uniform(1 / kappa, 1.0, n)
+    got = series.evaluate(x)
+    assert got.shape == (n,) and np.all(got.imag == 0)
+    for xi, value in zip(x, got):
+        assert series.evaluate(xi) == value
+    # Horner's rounding bound (3K/2) u N_y N_z, against one sine per term
+    bound = 1.5 * series.grid.K * np.finfo(float).eps / 2 * series.sum_abs_alpha()
+    for xi, value in zip(x[:3], got[:3]):
+        assert abs(value.real - sine_sum(series, xi)) <= bound
+
+
+def test_evaluate_memory_is_blocked():
+    series = build_series(100.0, 1.0, 5e-4, 5e-4)
+    grid = series.grid
+    assert (grid.J, grid.K) == (2065, 856)
+    series.evaluate(0.5)
+    tracemalloc.start()
+    try:
+        series.evaluate(0.37)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one J x K/2 float64 table would be 7.07 MB
+    assert peak <= 1_000_000 < grid.J * (grid.K // 2) * 8
 
 
 def test_series_odd_symmetry(series_10):
