@@ -56,5 +56,5 @@ from .pauli import (
     pauli_product,
 )
 from .randmat import MatrixArtifact, gen_matrix, haar_unitary
-from .sampler import AliasTable, FourierSample, TimeSampler, sample_rng
-from .simulator import StateVector, exact_evolution, hadamard_shot, overlap
+from .sampler import AliasTable, TimeSampler, sample_rng
+from .simulator import StateVector, exact_evolution, hadamard_shot

@@ -26,7 +26,6 @@ from .estimator import (
 )
 from .experiments import (
     sweep_policies,
-    hoeffding_coverage,
     log_schedule,
     rmse_sweep,
     rte_single,
@@ -139,7 +138,7 @@ def build_series_cmd(kappa_star, lam, eps_t, eps_d, out):
 @click.option("--lam", default=1.0, show_default=True, type=float)
 @click.option("--eps-t", required=True, type=float)
 @click.option("--eps-d", required=True, type=float)
-@click.option("--trials", default=20, show_default=True)
+@click.option("--trials", default=20, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", default=None, type=click.Path())
 def verify_series_cmd(kappa_star, lam, eps_t, eps_d, trials, seed, out):
@@ -163,7 +162,7 @@ def verify_series_cmd(kappa_star, lam, eps_t, eps_d, trials, seed, out):
 
 
 @main.command("table1")
-@click.option("--trials", default=0, show_default=True,
+@click.option("--trials", default=0, show_default=True, type=click.IntRange(min=0),
               help="Series-error verification trials per row (0 = sizes only).")
 @click.option("--heavy", is_flag=True,
               help="Verify the kappa=1000 rows too (hundreds of millions of terms).")
@@ -253,7 +252,7 @@ def _load_problem(matrix_path, n_qubits, kappa, seed, eps_t, eps_d, kappa_star):
               help="Certified PF policy: per-sample error budget.")
 @click.option("--n-max", default=0, show_default=True,
               help="RTE truncation order.")
-@click.option("--n-samples", default=10000, show_default=True)
+@click.option("--n-samples", default=10000, show_default=True, type=click.IntRange(min=1))
 @click.option("--noise", type=click.Choice(["bernoulli", "gaussian", "exact"]),
               default="bernoulli", show_default=True)
 @click.option("--seed", default=0, show_default=True)
@@ -303,8 +302,8 @@ def solve_cmd(matrix_path, n_qubits, kappa, kappa_star, eps_t, eps_d,
 @click.option("--kappa", default=10.0, show_default=True, type=float)
 @click.option("--eps-f", default=2e-2, show_default=True, type=float)
 @click.option("--fixed-r", default=5, show_default=True)
-@click.option("--max-samples", default=10**6, show_default=True)
-@click.option("--trials", default=20, show_default=True)
+@click.option("--max-samples", default=10**6, show_default=True, type=click.IntRange(min=100))
+@click.option("--trials", default=20, show_default=True, type=click.IntRange(min=1))
 @click.option("--noise", type=click.Choice(["bernoulli", "gaussian", "exact"]),
               default="gaussian", show_default=True)
 @click.option("--seed", default=0, show_default=True)
@@ -327,27 +326,33 @@ def rmse_sweep_cmd(kappa, eps_f, fixed_r, max_samples, trials, noise,
     _write_csv(out, _manifest(config, seed), ["policy", "n_s", "rmse"], rows)
 
 
+def _parse_taus(ctx, param, value):
+    try:
+        return [float(t) for t in value.split(",")]
+    except ValueError:
+        raise click.BadParameter(f"{value!r} is not a comma-separated list of numbers") from None
+
+
 @main.command("rte-single")
-@click.option("--taus", default="1,20,50,80", show_default=True)
-@click.option("--r", "r_seg", default=100, show_default=True)
+@click.option("--taus", default="1,20,50,80", show_default=True, callback=_parse_taus)
+@click.option("--r", "r_seg", default=100, show_default=True, type=click.IntRange(min=1))
 @click.option("--n-max", default=20, show_default=True)
-@click.option("--max-samples", default=10**5, show_default=True)
-@click.option("--trials", default=20, show_default=True)
+@click.option("--max-samples", default=10**5, show_default=True, type=click.IntRange(min=100))
+@click.option("--trials", default=20, show_default=True, type=click.IntRange(min=1))
 @click.option("--kappa", default=10.0, show_default=True, type=float)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", default=None, type=click.Path())
 def rte_single_cmd(taus, r_seg, n_max, max_samples, trials, kappa, seed, out):
     """RMSE of the RTE estimator of a single evolved overlap per tau."""
-    tau_list = [float(t) for t in taus.split(",")]
     rng = sample_rng(seed, 0)
     d_unit = gen_matrix(2, kappa, rng).decomposition.rescaled()
     schedule = log_schedule(100, max_samples)
     try:
-        results = rte_single(d_unit, tau_list, r_seg, schedule, trials, seed,
+        results = rte_single(d_unit, taus, r_seg, schedule, trials, seed,
                              n_max=n_max)
     except RTEWeightOverflowError as exc:
         raise click.ClickException(f"{exc}; a larger --r keeps it finite") from exc
-    config = {"command": "rte-single", "taus": tau_list, "r": r_seg,
+    config = {"command": "rte-single", "taus": taus, "r": r_seg,
               "n_max": n_max, "max_samples": max_samples, "trials": trials,
               "kappa": kappa}
     rows = [

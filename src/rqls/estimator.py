@@ -357,9 +357,10 @@ def _blocks(sampler: TimeSampler, n_s: int, noise_mode: str, stream, overlaps):
     """The Monte Carlo loop of `run_solver` and `monte_carlo_mean`.
 
     Takes n_s samples in blocks of DRAW_BLOCK.  Block c draws from the
-    generator stream(c), in this order: its j, then its k (alias draws),
-    then whatever overlaps(j, k, rng) draws, then the shot noise
-    (`simulator.shots`), real parts, then imaginary parts.
+    generator stream(c), in this order: its j, then its k (one
+    `TimeSampler.sample_batch` call), then whatever overlaps(j, k, rng)
+    draws, then the shot noise (`simulator.shots`), real parts, then
+    imaginary parts.
     overlaps returns (Re, Im) of each sample's overlap and one more value,
     which is passed on.  Yields per block (start, k, that value, shot_re,
     shot_im).
@@ -369,8 +370,7 @@ def _blocks(sampler: TimeSampler, n_s: int, noise_mode: str, stream, overlaps):
     for c, start in enumerate(range(0, n_s, DRAW_BLOCK)):
         b = min(DRAW_BLOCK, n_s - start)
         rng = stream(c)
-        j = sampler.p_y.table.draw_batch(rng, b)
-        k = sampler.p_z.table.draw_batch(rng, b)
+        j, k = sampler.sample_batch(rng, b)
         re, im, passed = overlaps(j, k, rng)
         re = shots(re, noise_mode, rng)
         yield start, k, passed, re, shots(im, noise_mode, rng)

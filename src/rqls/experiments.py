@@ -100,6 +100,8 @@ def rmse_sweep(
     are running means of that stream, so each curve uses schedule[-1]
     samples per trial.  RMSE is against the dense-solve truth.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     truth = problem.truth()
     n_top = int(schedule[-1])
     out = {}
@@ -143,6 +145,8 @@ def rte_single(
     its samples in blocks of DRAW_BLOCK from one stream, and its schedule
     points are running means of that stream.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     dim = 1 << d_unit.n_qubits
     psi = np.zeros(dim, dtype=complex)
     psi[0] = 1.0

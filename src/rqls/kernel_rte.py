@@ -5,10 +5,10 @@ expanded in even Taylor orders n <= n_max; one LCU term is drawn per
 segment.  A drawn term is a product of n Pauli strings followed by a
 Pauli rotation exp(-i theta Q), where theta carries the sign of both the
 segment time and the rotation term's coefficient; the n strings reduce
-to one phase-free Clifford Pauli prefix P, with the remaining signs (i^n,
-prefix coefficient signs, product phases) folded into a single
-per-sample unit-modulus scalar.  The estimator phase * alpha^r *
-<phi|U|psi> is exactly unbiased for <phi| (finite LCU)^r |psi>.
+to one phase-free Pauli prefix P.  Every sign (i^n, prefix coefficient
+signs, the phases of all prefix products) goes into one per-sample
+scalar, a power of i.  The estimator phase * alpha^r * <phi|U|psi> is
+exactly unbiased for <phi| (finite LCU)^r |psi>.
 
 Both samplers, and the RTE kernel of `estimator.run_solver`, run one
 Pauli-frame fold.  Since P exp(-i theta Q) =
@@ -24,7 +24,9 @@ at each step of the reverse sweep are a prefix of the batch, and the step
 touches only that prefix.  The draws are packed in that sweep order, one
 entry per segment, so a group's arrays hold exactly its sum of r.  The
 overlap path folds the samples of many grid pairs at once, in groups whose
-sum of r is bounded by FOLD_GROUP_ENTRIES.
+sum of r is bounded by FOLD_GROUP_ENTRIES.  The fold takes state vectors
+only: `sample_rte_unitary` folds the dim identity columns as dim samples
+that share its one draw.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ import numpy as np
 from .pauli import (
     _I_POWERS,
     PauliDecomposition,
-    PauliString,
     _popcount_array,
     _product_exponent,
     _scan,
@@ -143,32 +144,10 @@ def segment_model(tau: float, r: int, n_max: int) -> RTESegmentModel:
 
 
 @dataclass(frozen=True)
-class RTESegment:
-    prefix: PauliString  # phase-free Clifford Pauli product
-    rotation: PauliString
-    theta: float
-    order: int
-
-
-@dataclass(frozen=True)
 class RTEUnitary:
-    phase: complex  # accumulated unit-modulus scalar
+    phase: complex  # the sample's unit-modulus scalar, a power of i
     n_cp: int
-    dense_unitary: np.ndarray
-    decomposition: PauliDecomposition
-    model: RTESegmentModel
-    draws: np.ndarray  # (4, r): prefix x and z masks, rotation term, order index
-
-    @property
-    def segments(self) -> tuple:
-        """(RTESegment, ...) in circuit order, rebuilt from the draws."""
-        n, terms, m = self.decomposition.n_qubits, self.decomposition.terms, self.model
-        return tuple(
-            RTESegment(PauliString(n, int(x), int(z)), terms[l][1],
-                       float(m.thetas[o]) * (1.0 if terms[l][0] >= 0 else -1.0),
-                       int(m.orders[o]))
-            for x, z, l, o in self.draws.T
-        )
+    dense_unitary: np.ndarray  # T R'_1 ... R'_r, the unitary over its phase
 
 
 @dataclass(frozen=True)
@@ -210,10 +189,9 @@ def _frames(d, model, r, n, rng):
     A block holds max(1, DRAW_BLOCK // r) samples and consumes randomness
     in three alias draws: its orders (sample by sample, segments in order),
     then its prefix strings in that same order, then its rotation strings.
-    Yields per block (e, tx, tz, scale, tan, rot, order_idx, cx, cz, cut):
-    per sample i^e, T and the product of cos theta; per segment (n, r)
-    tan theta', rotation term and order index; the running XORs of the
-    flat prefix masks, segment s's prefix strings being [cut[s], cut[s+1]).
+    Yields per block (e, tx, tz, scale, tan, rot): per sample i^e, T and
+    the product of cos theta; per segment (n, r) tan theta' and rotation
+    term.
     """
     nq = d.n_qubits
     t = _term_tables(d)
@@ -237,12 +215,11 @@ def _frames(d, model, r, n, rng):
         # cos is even, so R' = cos(theta) (I - i tan(theta') Q) and the
         # cosines leave the fold as one product per sample
         scale = np.cos(model.thetas)[order_idx].prod(axis=1)
-        yield (e, cx[s1] ^ cx[s0], cz[s1] ^ cz[s0], scale, tan, rot, order_idx,
-               cx, cz, cut)
+        yield e, cx[s1] ^ cx[s0], cz[s1] ^ cz[s0], scale, tan, rot
 
 
-def _fold(d, rot, tan, r, tx, tz, scale, block) -> np.ndarray:
-    """T R'_1 ... R'_{r_i} block[i] for each sample i, block of shape (n, dim, m).
+def _fold(d, rot, tan, r, tx, tz, scale, states) -> np.ndarray:
+    """T R'_1 ... R'_{r_i} states[i] for each sample i, states of shape (n, dim).
 
     The samples come sorted by r, descending.  rot and tan hold sum(r)
     entries packed in sweep order: step s holds segment r_i - s of each
@@ -252,12 +229,10 @@ def _fold(d, rot, tan, r, tx, tz, scale, block) -> np.ndarray:
     coefficients are taken in blocks of at most DRAW_BLOCK state entries,
     each block within such a run.
     """
-    n, dim, m = block.shape
+    n, dim = states.shape
     t = _term_tables(d)
     rows0 = (np.arange(n) * dim)[:, None]
-    v = np.array(block, dtype=complex, order="C")  # flat below is a view of v
-    flat = v.reshape(n * dim, m)
-    state = flat[:, 0] if m == 1 else flat  # one column: fold a flat vector
+    state = np.array(states, dtype=complex).ravel()  # the samples end to end
     lo = off = 0
     # steps [lo, hi) have the a samples of r >= hi active, a run of equal
     # prefix length ending at each distinct r
@@ -266,7 +241,7 @@ def _fold(d, rot, tan, r, tx, tz, scale, block) -> np.ndarray:
             continue
         k = a * dim
         per_block = max(1, DRAW_BLOCK // k)
-        head, g = state[:k], np.empty((k, m)[:state.ndim], dtype=complex)
+        head, g = state[:k], np.empty(k, dtype=complex)
         offsets = np.tile(rows0[:a], (min(per_block, hi - lo), 1))
         for b in range(lo, hi, per_block):
             steps = min(per_block, hi - b)
@@ -279,9 +254,7 @@ def _fold(d, rot, tan, r, tx, tz, scale, block) -> np.ndarray:
             c = t.coef.take(terms, axis=0)
             c *= tan[off:off + steps * a].reshape(-1, 1)
             off += steps * a
-            rows = rows.reshape(steps, k)
-            c = c.reshape((steps, k) if m == 1 else (steps, k, 1))
-            for rows_s, c_s in zip(rows, c):
+            for rows_s, c_s in zip(rows.reshape(steps, k), c.reshape(steps, k)):
                 # positional: take parses keywords slowly; "wrap" leaves
                 # out unbuffered (the rows are in range)
                 state.take(rows_s, 0, g, "wrap")
@@ -289,8 +262,8 @@ def _fold(d, rot, tan, r, tx, tz, scale, block) -> np.ndarray:
                 head += g
         lo = hi
     t_src, t_phase = pauli_action(d.n_qubits, tx, tz)
-    out = np.take(flat, t_src + rows0, axis=0)
-    out *= (t_phase * scale[:, None])[..., None]
+    out = state.take(t_src + rows0)
+    out *= t_phase * scale[:, None]
     return out
 
 
@@ -301,20 +274,18 @@ def sample_rte_unitary(
     rng: np.random.Generator,
 ) -> RTEUnitary:
     """Draw one r-segment RTE unitary (d must have unit Pauli weight): the
-    frame fold of a single sample, applied to the identity columns."""
+    frame fold of a single sample, applied to the dim identity columns as
+    dim samples that share the one draw."""
     if d.n_qubits > RTE_DENSE_QUBIT_GUARD:
         raise ValueError(f"n_qubits={d.n_qubits} exceeds dense guard")
-    e, tx, tz, scale, tan, rot, order_idx, cx, cz, cut = next(_frames(d, model, r, 1, rng))
-    out = _fold(d, rot[0, ::-1], tan[0, ::-1], np.array([r]), tx, tz, scale,
-                np.eye(1 << d.n_qubits, dtype=complex)[None])
-    # the scalar keeps the phases within each segment's prefix; the phase
-    # of multiplying the canonical segment prefixes belongs to the matrix
-    pre_x, pre_z = cx[cut[1:]] ^ cx[cut[:-1]], cz[cut[1:]] ^ cz[cut[:-1]]
-    e_seg = int(_product_exponent(pre_x, pre_z, np.array([0, r]))[0][0])
-    return RTEUnitary(
-        complex(_I_POWERS[(e[0] - e_seg) & 3]), r, _I_POWERS[e_seg] * out[0], d, model,
-        np.stack([pre_x, pre_z, rot[0], order_idx[0]]),
-    )
+    e, tx, tz, scale, tan, rot = next(_frames(d, model, r, 1, rng))
+    dim = 1 << d.n_qubits
+    # a lone sample's sweep is its segments in reverse; each step holds its
+    # segment once per column
+    columns = _fold(d, np.repeat(rot[0, ::-1], dim), np.repeat(tan[0, ::-1], dim),
+                    np.full(dim, r), np.repeat(tx, dim), np.repeat(tz, dim),
+                    np.repeat(scale, dim), np.eye(dim, dtype=complex))
+    return RTEUnitary(complex(_I_POWERS[e[0]]), r, columns.T)
 
 
 def rte_finite_lcu(d: PauliDecomposition, model: RTESegmentModel) -> np.ndarray:
@@ -331,23 +302,6 @@ def rte_finite_lcu(d: PauliDecomposition, model: RTESegmentModel) -> np.ndarray:
         term = term @ (-1j * x * a) / m
         out = out + term
     return out
-
-
-def rte_unitary_to_json(u: RTEUnitary) -> dict:
-    """Audit-mode description: per-segment Pauli texts and rotation angles."""
-    return {
-        "phase": [u.phase.real, u.phase.imag],
-        "n_cp": u.n_cp,
-        "segments": [
-            {
-                "prefix": seg.prefix.to_text(),
-                "rotation": seg.rotation.to_text(),
-                "theta": seg.theta,
-                "order": seg.order,
-            }
-            for seg in u.segments
-        ],
-    }
 
 
 def sample_rte_overlaps_batch(
@@ -430,8 +384,8 @@ def _fold_group(d, group, psi, conj_phi, rng):
             rot[p:][dest[:m]], tan[p:][dest[:m]] = rot_b, tan_b
             i += m
     out = _fold(d, rot, tan, r_sample[order], tx, tz, scale,
-                np.broadcast_to(psi[:, None], (len(order), len(psi), 1)))
-    v = out[:, :, 0][col]
+                np.broadcast_to(psi, (len(order), len(psi))))
+    v = out[col]
     overlaps = v @ conj_phi
     # BLAS takes one row as a dot product and several as gemv, which round
     # apart; contract each pair's samples as a fold of that pair alone does

@@ -2,14 +2,12 @@
 
 The (j, k) indices are drawn independently: j proportional to the scaled
 Gauss-Legendre weight, k proportional to |dz * z_k * exp(-z_k^2/2)|.  The
-zero-amplitude z = 0 node is never drawn.  Each sample carries the exact
-phase of its coefficient, omega = i * sign(z_k), and the constant estimator
-weight N_y * N_z / lambda.
+zero-amplitude z = 0 node is never drawn.  A sampler draws only (j, k); the
+estimator takes tau = y_j z_k, the coefficient phase i * sign(z_k) and the
+constant weight N_y * N_z / lambda from them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,72 +59,33 @@ class AliasTable:
         self._alias = alias
         self._accept = accept
 
-    def draw(self, rng: np.random.Generator) -> int:
-        i = rng.integers(len(self._accept))
-        return int(i if rng.random() < self._accept[i] else self._alias[i])
-
     def draw_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         idx = rng.integers(len(self._accept), size=size)
         take_alias = rng.random(size) >= self._accept[idx]
         return np.where(take_alias, self._alias[idx], idx)
 
 
-@dataclass(frozen=True)
-class DiscreteDistribution:
-    probabilities: np.ndarray
-    table: AliasTable
-
-    @classmethod
-    def from_weights(cls, weights) -> "DiscreteDistribution":
-        w = np.abs(np.asarray(weights, dtype=float))
-        total = w.sum()
-        if total == 0:
-            raise ValueError("all weights are zero")
-        p = w / total
-        return cls(p, AliasTable(p))
-
-
-@dataclass(frozen=True)
-class FourierSample:
-    j: int
-    k: int
-    tau: float
-    omega: complex
-    weight: float
-
-
-def build_distributions(series: FourierSeries):
-    """(p_y over [J], p_z over [K]) from the series amplitudes."""
-    p_y = DiscreteDistribution.from_weights(series.grid.wy_weights)
-    p_z = DiscreteDistribution.from_weights(series.z_amplitudes())
-    return p_y, p_z
+def _alias_from_weights(weights) -> AliasTable:
+    w = np.abs(np.asarray(weights, dtype=float))
+    total = w.sum()
+    if total == 0:
+        raise ValueError("all weights are zero")
+    return AliasTable(w / total)
 
 
 class TimeSampler:
-    """Draws Fourier samples (j, k, tau, omega, weight) from a built series."""
+    """Draws Fourier-time indices (j, k) from a built series."""
 
     def __init__(self, series: FourierSeries):
-        self.series = series
-        self.p_y, self.p_z = build_distributions(series)
+        self.p_y = _alias_from_weights(series.grid.wy_weights)
+        self.p_z = _alias_from_weights(series.z_amplitudes())
         self.weight = series.N_y * series.N_z / series.lam
 
-    def sample(self, rng: np.random.Generator) -> FourierSample:
-        j = self.p_y.table.draw(rng)
-        k = self.p_z.table.draw(rng)
-        return self._make(j, k)
+    def sample(self, rng: np.random.Generator) -> tuple[int, int]:
+        """One (j, k): the size-1 case of `sample_batch`."""
+        j, k = self.sample_batch(rng, 1)
+        return int(j[0]), int(k[0])
 
     def sample_batch(self, rng: np.random.Generator, size: int):
-        """Vectorized draw; returns (j, k, tau, omega) arrays."""
-        j = self.p_y.table.draw_batch(rng, size)
-        k = self.p_z.table.draw_batch(rng, size)
-        z = self.series.grid.z_nodes[k]
-        tau = self.series.grid.y_nodes[j] * z
-        omega = 1j * np.sign(z)
-        return j, k, tau, omega
-
-    def _make(self, j: int, k: int) -> FourierSample:
-        z = self.series.grid.z_nodes[k]
-        tau = float(self.series.grid.y_nodes[j] * z)
-        omega = 1j * float(np.sign(z))
-        return FourierSample(j, k, tau, omega, self.weight)
-
+        """(j, k) index arrays of size draws: every j, then every k."""
+        return self.p_y.draw_batch(rng, size), self.p_z.draw_batch(rng, size)

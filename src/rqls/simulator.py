@@ -35,12 +35,6 @@ class StateVector:
         return cls(amps)
 
 
-@dataclass(frozen=True)
-class ShotOutcome:
-    value: float
-    part: str  # "real" or "imaginary"
-
-
 @functools.lru_cache(maxsize=SPECTRUM_CACHE_SIZE)
 def spectrum(d: PauliDecomposition):
     """Read-only (eigenvalues, eigenvectors) of materialize(d), computed
@@ -57,13 +51,6 @@ def exact_evolution(d: PauliDecomposition, tau: float) -> np.ndarray:
         raise ValueError(f"n_qubits={d.n_qubits} exceeds dense guard")
     evals, evecs = spectrum(d)
     return (evecs * np.exp(-1j * tau * evals)) @ evecs.conj().T
-
-
-def overlap(phi: StateVector, unitary: np.ndarray, psi: StateVector) -> complex:
-    """<phi| U |psi>."""
-    if unitary.shape != (len(phi.amplitudes), len(psi.amplitudes)):
-        raise ValueError("dimension mismatch")
-    return complex(phi.amplitudes.conj() @ unitary @ psi.amplitudes)
 
 
 def shots(v: np.ndarray, noise_mode: str, rng: np.random.Generator) -> np.ndarray:
@@ -92,10 +79,12 @@ def hadamard_shot(
     part: str,
     noise_mode: str,
     rng: np.random.Generator,
-) -> ShotOutcome:
+) -> float:
     """One shot estimating Re or Im <phi|U|psi>: `shots` of that one part."""
     if part not in ("real", "imaginary"):
         raise ValueError(f"unknown part {part!r}")
-    v = overlap(phi, unitary, psi)
+    if unitary.shape != (len(phi.amplitudes), len(psi.amplitudes)):
+        raise ValueError("dimension mismatch")
+    v = complex(phi.amplitudes.conj() @ unitary @ psi.amplitudes)
     v = v.real if part == "real" else v.imag
-    return ShotOutcome(float(shots(np.array([v]), noise_mode, rng)[0]), part)
+    return float(shots(np.array([v]), noise_mode, rng)[0])

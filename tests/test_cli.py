@@ -265,3 +265,24 @@ def test_rte_single_weight_overflow_is_click_error():
     assert result.exit_code == 1, result.output
     assert not isinstance(result.exception, ValueError)
     assert "Error:" in result.output and "log10 alpha^r = 376.158" in result.output
+
+
+@pytest.mark.parametrize("args, option", [
+    (["solve", "--n-samples", "0"], "--n-samples"),
+    (["rmse-sweep", "--max-samples", "50"], "--max-samples"),
+    (["rmse-sweep", "--trials", "0"], "--trials"),
+    (["rte-single", "--max-samples", "99"], "--max-samples"),
+    (["rte-single", "--trials", "0"], "--trials"),
+    (["rte-single", "--r", "0"], "--r"),
+    (["rte-single", "--taus", "1,x"], "--taus"),
+    (["verify-series", "--kappa-star", "10", "--eps-t", "1e-2", "--eps-d", "1e-2",
+      "--trials", "0"], "--trials"),
+    (["table1", "--trials", "-1"], "--trials"),
+])
+def test_bad_count_is_usage_error_naming_the_option(args, option):
+    # rejected while parsing: no traceback, and no NaN output from an empty
+    # trial axis
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert not isinstance(result.exception, ValueError)
+    assert f"Invalid value for '{option}'" in result.output

@@ -239,7 +239,8 @@ def unblocked_samples(series, overlap_table, n_s, noise_mode, rng):
     """The n_s estimator samples of the unblocked Monte Carlo path, drawn
     all at once: j, k, then the real and the imaginary shot noise."""
     sampler = TimeSampler(series)
-    j, k, _, omega = sampler.sample_batch(rng, n_s)
+    j, k = sampler.sample_batch(rng, n_s)
+    omega = 1j * np.sign(series.grid.z_nodes[k])
     v = overlap_table[j, k]
     if noise_mode == "bernoulli":
         re = np.where(rng.random(n_s) < (1 + v.real) / 2, 1.0, -1.0)
@@ -370,6 +371,23 @@ def test_run_solver_and_monte_carlo_mean_reject_no_samples(problem):
         monte_carlo_mean(problem.series, table, 0, "exact", np.random.default_rng(0))
 
 
+def test_every_draw_is_one_sample_batch_call_per_block(monkeypatch, problem):
+    # size is read as the third positional argument (self, rng, size), as
+    # the benchmark's draw counter reads it: DRAW_BLOCK per block, then the
+    # remainder
+    sizes = []
+    sample_batch = TimeSampler.sample_batch
+    monkeypatch.setattr(TimeSampler, "sample_batch",
+                        lambda *args: sizes.append(args[2]) or sample_batch(*args))
+    n_s = 2 * DRAW_BLOCK + 123
+    table = overlap_table_exact(problem)
+    monte_carlo_mean(problem.series, table, n_s, "exact", np.random.default_rng(0))
+    assert sizes == [DRAW_BLOCK, DRAW_BLOCK, 123]
+    sizes.clear()
+    run_solver(problem, KernelConfig("exact"), n_s, "exact", 0)
+    assert sizes == [DRAW_BLOCK, DRAW_BLOCK, 123]
+
+
 def test_run_solver_certifies_the_spectrum():
     # kappa* below the true condition number leaves eigenvalues of A/lam
     # outside the series domain [1/kappa_tilde, 1]
@@ -422,7 +440,8 @@ def test_run_solver_rte_draws_pair_by_pair():
     sampler = TimeSampler(small.series)
     grid = small.series.grid
     rng = sample_rng(3, 0)
-    j, k, tau, omega = sampler.sample_batch(rng, n)
+    j, k = sampler.sample_batch(rng, n)
+    tau, omega = grid.y_nodes[j] * grid.z_nodes[k], 1j * np.sign(grid.z_nodes[k])
     flat = j * grid.K + k
     want = np.empty(n, dtype=complex)
     for pair in np.unique(flat):
@@ -457,7 +476,8 @@ def test_run_solver_rte_mixed_r_matches_pair_by_pair_oracle(monkeypatch, group_e
     sampler = TimeSampler(small.series)
     grid = small.series.grid
     rng = sample_rng(3, 0)
-    j, k, tau, omega = sampler.sample_batch(rng, n)
+    j, k = sampler.sample_batch(rng, n)
+    tau, omega = grid.y_nodes[j] * grid.z_nodes[k], 1j * np.sign(grid.z_nodes[k])
     flat = j * grid.K + k
     rs = config.r_for(tau)
     want = np.empty(n, dtype=complex)

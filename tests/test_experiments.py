@@ -7,6 +7,7 @@ from rqls.experiments import (
     hoeffding_coverage,
     log_schedule,
     loglog_slope,
+    rmse_sweep,
     rte_single,
     table1_rows,
 )
@@ -65,6 +66,19 @@ def test_rte_single_small():
     assert curve["alpha_power_r"] <= np.exp(1.0 / 4) + 1e-9
     # more samples, smaller error on average
     assert curve["rmse"][1] < curve["rmse"][0] * 2
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_zero_trials_is_an_error_not_nan(trials):
+    # the mean over an empty trial axis would be NaN for every RMSE
+    d_unit = gen_matrix(1, 4.0, np.random.default_rng(1)).decomposition.rescaled()
+    with pytest.raises(ValueError, match="trials"):
+        rte_single(d_unit, [1.0], 4, [100], trials, 5, n_max=6)
+    art = gen_matrix(1, 4.0, np.random.default_rng(1))
+    psi = StateVector.basis(1, 0)
+    problem = Problem(art.decomposition, psi, psi, build_series(4.0, art.lam, 5e-2, 5e-2))
+    with pytest.raises(ValueError, match="trials"):
+        rmse_sweep(problem, sweep_policies(3), [100], trials, "exact", 5)
 
 
 def test_rte_single_means_are_one_stream_across_blocks():

@@ -6,7 +6,6 @@ from rqls.simulator import (
     StateVector,
     exact_evolution,
     hadamard_shot,
-    overlap,
     spectrum,
 )
 
@@ -47,9 +46,16 @@ def test_exact_evolution_group_law():
     assert np.abs(u - exact_evolution(d, 1.8)).max() < 1e-12
 
 
+def exact_overlap(phi, u, psi):
+    """<phi|U|psi> as read by noise-free Hadamard shots."""
+    rng = np.random.default_rng(0)
+    return complex(hadamard_shot(phi, u, psi, "real", "exact", rng),
+                   hadamard_shot(phi, u, psi, "imaginary", "exact", rng))
+
+
 def test_overlap_identity():
     psi = StateVector.basis(1, 0)
-    assert overlap(psi, np.eye(2), psi) == pytest.approx(1.0)
+    assert exact_overlap(psi, np.eye(2), psi) == pytest.approx(1.0)
     rng = np.random.default_rng(2)
     a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -57,14 +63,15 @@ def test_overlap_identity():
     psi = StateVector(b / np.linalg.norm(b))
     u = exact_evolution(random_unit_decomposition(2, rng), 1.3)
     # conjugate symmetry <phi|U|psi> = conj(<psi|U^dag|phi>)
-    assert overlap(phi, u, psi) == pytest.approx(
-        np.conj(overlap(psi, u.conj().T, phi))
+    assert exact_overlap(phi, u, psi) == pytest.approx(
+        np.conj(exact_overlap(psi, u.conj().T, phi))
     )
 
 
 def test_overlap_dimension_mismatch():
-    with pytest.raises(ValueError):
-        overlap(StateVector.basis(1), np.eye(4), StateVector.basis(2))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        hadamard_shot(StateVector.basis(1), np.eye(4), StateVector.basis(2), "real", "exact",
+                      np.random.default_rng(0))
 
 
 def test_hadamard_shot_exact_mode():
@@ -73,9 +80,9 @@ def test_hadamard_shot_exact_mode():
     rng = np.random.default_rng(3)
     re = hadamard_shot(psi, u, psi, "real", "exact", rng)
     im = hadamard_shot(psi, u, psi, "imaginary", "exact", rng)
-    assert re.value == pytest.approx(np.cos(0.4))
-    assert im.value == pytest.approx(-np.sin(0.4))
-    assert (re.part, im.part) == ("real", "imaginary")
+    assert re == pytest.approx(np.cos(0.4))
+    assert im == pytest.approx(-np.sin(0.4))
+    assert type(re) is float and type(im) is float
 
 
 def test_hadamard_shot_bernoulli_deterministic_cases():
@@ -83,13 +90,13 @@ def test_hadamard_shot_bernoulli_deterministic_cases():
     rng = np.random.default_rng(4)
     # U = I, phi = psi: real part is exactly 1, every shot returns +1
     vals = [
-        hadamard_shot(psi, np.eye(2), psi, "real", "bernoulli", rng).value
+        hadamard_shot(psi, np.eye(2), psi, "real", "bernoulli", rng)
         for _ in range(500)
     ]
     assert set(vals) == {1.0}
     # and its imaginary part is 0: shots are +-1 with mean near 0
     ims = np.array([
-        hadamard_shot(psi, np.eye(2), psi, "imaginary", "bernoulli", rng).value
+        hadamard_shot(psi, np.eye(2), psi, "imaginary", "bernoulli", rng)
         for _ in range(4000)
     ])
     assert set(np.unique(ims)) <= {-1.0, 1.0}
@@ -99,11 +106,11 @@ def test_hadamard_shot_bernoulli_deterministic_cases():
 def test_hadamard_shot_bernoulli_unbiased():
     psi = StateVector.basis(1, 0)
     u = exact_evolution(pauli_decompose(0.5 * X + 0.5 * Z).rescaled(), 1.2)
-    v = overlap(psi, u, psi).real
+    v = exact_overlap(psi, u, psi).real
     rng = np.random.default_rng(5)
     n = 40_000
     vals = np.array([
-        hadamard_shot(psi, u, psi, "real", "bernoulli", rng).value
+        hadamard_shot(psi, u, psi, "real", "bernoulli", rng)
         for _ in range(n)
     ])
     assert abs(vals.mean() - v) < 4 / np.sqrt(n)
@@ -114,7 +121,7 @@ def test_hadamard_shot_gaussian_stats():
     rng = np.random.default_rng(6)
     n = 40_000
     vals = np.array([
-        hadamard_shot(psi, np.eye(2), psi, "real", "gaussian", rng).value
+        hadamard_shot(psi, np.eye(2), psi, "real", "gaussian", rng)
         for _ in range(n)
     ])
     assert vals.mean() == pytest.approx(1.0, abs=4 / np.sqrt(n))
