@@ -39,6 +39,15 @@ from .sampler import sample_rng
 from .simulator import StateVector
 
 
+# option ranges that hold whatever the other options are
+AT_LEAST_ONE = click.IntRange(min=1)  # qubits, r, trials, term counts
+NONNEGATIVE = click.IntRange(min=0)  # seeds, n_max; solve's r = 0 is unset
+AT_LEAST_ONE_REAL = click.FloatRange(min=1)  # kappa, kappa_star, lam
+NONNEGATIVE_REAL = click.FloatRange(min=0)  # f; r_quad = eps_pf = 0 is unset
+POSITIVE_REAL = click.FloatRange(min=0, min_open=True)  # accuracy budgets
+OPEN_UNIT = click.FloatRange(0, 1, min_open=True, max_open=True)  # delta
+
+
 def _manifest(config: dict, seed: int) -> dict:
     return {"config": config, "master_seed": seed, "version": __version__}
 
@@ -72,9 +81,9 @@ def main():
 
 
 @main.command("gen-matrix")
-@click.option("--n-qubits", default=2, show_default=True)
-@click.option("--kappa", required=True, type=float)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--n-qubits", default=2, show_default=True, type=AT_LEAST_ONE)
+@click.option("--kappa", required=True, type=AT_LEAST_ONE_REAL)
+@click.option("--seed", default=0, show_default=True, type=NONNEGATIVE)
 @click.option("--out", default=None, type=click.Path())
 def gen_matrix_cmd(n_qubits, kappa, seed, out):
     """Random Hermitian matrix with condition number exactly kappa."""
@@ -87,10 +96,10 @@ def gen_matrix_cmd(n_qubits, kappa, seed, out):
 
 
 @main.command("params")
-@click.option("--kappa-star", required=True, type=float)
-@click.option("--lam", default=1.0, show_default=True, type=float)
-@click.option("--eps-t", required=True, type=float)
-@click.option("--eps-d", required=True, type=float)
+@click.option("--kappa-star", required=True, type=AT_LEAST_ONE_REAL)
+@click.option("--lam", default=1.0, show_default=True, type=AT_LEAST_ONE_REAL)
+@click.option("--eps-t", required=True, type=POSITIVE_REAL)
+@click.option("--eps-d", required=True, type=POSITIVE_REAL)
 @click.option("--out", default=None, type=click.Path())
 def params_cmd(kappa_star, lam, eps_t, eps_d, out):
     """Truncation bounds and grid sizes for the inverse-function series."""
@@ -108,10 +117,10 @@ def params_cmd(kappa_star, lam, eps_t, eps_d, out):
 
 
 @main.command("build-series")
-@click.option("--kappa-star", required=True, type=float)
-@click.option("--lam", default=1.0, show_default=True, type=float)
-@click.option("--eps-t", required=True, type=float)
-@click.option("--eps-d", required=True, type=float)
+@click.option("--kappa-star", required=True, type=AT_LEAST_ONE_REAL)
+@click.option("--lam", default=1.0, show_default=True, type=AT_LEAST_ONE_REAL)
+@click.option("--eps-t", required=True, type=POSITIVE_REAL)
+@click.option("--eps-d", required=True, type=POSITIVE_REAL)
 @click.option("--out", default=None, type=click.Path())
 def build_series_cmd(kappa_star, lam, eps_t, eps_d, out):
     """Build the series and report its normalization constants."""
@@ -134,12 +143,12 @@ def build_series_cmd(kappa_star, lam, eps_t, eps_d, out):
 
 
 @main.command("verify-series")
-@click.option("--kappa-star", required=True, type=float)
-@click.option("--lam", default=1.0, show_default=True, type=float)
-@click.option("--eps-t", required=True, type=float)
-@click.option("--eps-d", required=True, type=float)
-@click.option("--trials", default=20, show_default=True, type=click.IntRange(min=1))
-@click.option("--seed", default=0, show_default=True)
+@click.option("--kappa-star", required=True, type=AT_LEAST_ONE_REAL)
+@click.option("--lam", default=1.0, show_default=True, type=AT_LEAST_ONE_REAL)
+@click.option("--eps-t", required=True, type=POSITIVE_REAL)
+@click.option("--eps-d", required=True, type=POSITIVE_REAL)
+@click.option("--trials", default=20, show_default=True, type=AT_LEAST_ONE)
+@click.option("--seed", default=0, show_default=True, type=NONNEGATIVE)
 @click.option("--out", default=None, type=click.Path())
 def verify_series_cmd(kappa_star, lam, eps_t, eps_d, trials, seed, out):
     """Measure the worst scalar series error over random spectra."""
@@ -162,11 +171,11 @@ def verify_series_cmd(kappa_star, lam, eps_t, eps_d, trials, seed, out):
 
 
 @main.command("table1")
-@click.option("--trials", default=0, show_default=True, type=click.IntRange(min=0),
+@click.option("--trials", default=0, show_default=True, type=NONNEGATIVE,
               help="Series-error verification trials per row (0 = sizes only).")
 @click.option("--heavy", is_flag=True,
               help="Verify the kappa=1000 rows too (hundreds of millions of terms).")
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=NONNEGATIVE)
 @click.option("--out", default=None, type=click.Path())
 def table1_cmd(trials, heavy, seed, out):
     """Grid sizes (J, K) for the twelve (kappa, eps_F) pairs."""
@@ -180,17 +189,17 @@ def table1_cmd(trials, heavy, seed, out):
 
 @main.command("resources")
 @click.option("--kernel", type=click.Choice(["pf", "rte"]), required=True)
-@click.option("--kappa-star", required=True, type=float)
-@click.option("--lam", default=1.0, show_default=True, type=float)
-@click.option("--eps-t", required=True, type=float)
-@click.option("--eps-d", required=True, type=float)
-@click.option("--eps", default=0.1, show_default=True, type=float)
-@click.option("--delta", default=0.01, show_default=True, type=float)
-@click.option("--f", "f_const", default=None, type=float,
+@click.option("--kappa-star", required=True, type=AT_LEAST_ONE_REAL)
+@click.option("--lam", default=1.0, show_default=True, type=AT_LEAST_ONE_REAL)
+@click.option("--eps-t", required=True, type=POSITIVE_REAL)
+@click.option("--eps-d", required=True, type=POSITIVE_REAL)
+@click.option("--eps", default=0.1, show_default=True, type=POSITIVE_REAL)
+@click.option("--delta", default=0.01, show_default=True, type=OPEN_UNIT)
+@click.option("--f", "f_const", default=None, type=NONNEGATIVE_REAL,
               help="Commutator constant (PF); required for --kernel pf.")
-@click.option("--big-l", default=None, type=int,
+@click.option("--big-l", default=None, type=AT_LEAST_ONE,
               help="Number of Pauli terms (PF gate accounting).")
-@click.option("--r", "r_seg", default=None, type=int,
+@click.option("--r", "r_seg", default=None, type=AT_LEAST_ONE,
               help="RTE segment count; default ceil(t_max).")
 @click.option("--out", default=None, type=click.Path())
 def resources_cmd(kernel, kappa_star, lam, eps_t, eps_d, eps, delta,
@@ -237,25 +246,25 @@ def _load_problem(matrix_path, n_qubits, kappa, seed, eps_t, eps_d, kappa_star):
 @main.command("solve")
 @click.option("--matrix", "matrix_path", default=None, type=click.Path(exists=True),
               help="gen-matrix artifact; otherwise a matrix is generated.")
-@click.option("--n-qubits", default=2, show_default=True)
-@click.option("--kappa", default=10.0, show_default=True, type=float)
-@click.option("--kappa-star", default=None, type=float)
-@click.option("--eps-t", default=1e-2, show_default=True, type=float)
-@click.option("--eps-d", default=1e-2, show_default=True, type=float)
+@click.option("--n-qubits", default=2, show_default=True, type=AT_LEAST_ONE)
+@click.option("--kappa", default=10.0, show_default=True, type=AT_LEAST_ONE_REAL)
+@click.option("--kappa-star", default=None, type=AT_LEAST_ONE_REAL)
+@click.option("--eps-t", default=1e-2, show_default=True, type=POSITIVE_REAL)
+@click.option("--eps-d", default=1e-2, show_default=True, type=POSITIVE_REAL)
 @click.option("--kernel", type=click.Choice(["exact", "pf", "rte"]),
               default="exact", show_default=True)
-@click.option("--r", "r_fixed", default=0, show_default=True,
+@click.option("--r", "r_fixed", default=0, show_default=True, type=NONNEGATIVE,
               help="Fixed per-sample segment/step count.")
-@click.option("--r-quad", default=0.0, show_default=True,
+@click.option("--r-quad", default=0.0, show_default=True, type=NONNEGATIVE_REAL,
               help="Quadratic policy coefficient: r = ceil(c tau^2).")
-@click.option("--eps-pf", default=0.0, show_default=True,
+@click.option("--eps-pf", default=0.0, show_default=True, type=NONNEGATIVE_REAL,
               help="Certified PF policy: per-sample error budget.")
-@click.option("--n-max", default=0, show_default=True,
+@click.option("--n-max", default=0, show_default=True, type=NONNEGATIVE,
               help="RTE truncation order.")
-@click.option("--n-samples", default=10000, show_default=True, type=click.IntRange(min=1))
+@click.option("--n-samples", default=10000, show_default=True, type=AT_LEAST_ONE)
 @click.option("--noise", type=click.Choice(["bernoulli", "gaussian", "exact"]),
               default="bernoulli", show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=NONNEGATIVE)
 @click.option("--out", default=None, type=click.Path())
 def solve_cmd(matrix_path, n_qubits, kappa, kappa_star, eps_t, eps_d,
               kernel, r_fixed, r_quad, eps_pf, n_max, n_samples, noise, seed,
@@ -299,14 +308,14 @@ def solve_cmd(matrix_path, n_qubits, kappa, kappa_star, eps_t, eps_d,
 
 
 @main.command("rmse-sweep")
-@click.option("--kappa", default=10.0, show_default=True, type=float)
-@click.option("--eps-f", default=2e-2, show_default=True, type=float)
-@click.option("--fixed-r", default=5, show_default=True)
+@click.option("--kappa", default=10.0, show_default=True, type=AT_LEAST_ONE_REAL)
+@click.option("--eps-f", default=2e-2, show_default=True, type=POSITIVE_REAL)
+@click.option("--fixed-r", default=5, show_default=True, type=AT_LEAST_ONE)
 @click.option("--max-samples", default=10**6, show_default=True, type=click.IntRange(min=100))
-@click.option("--trials", default=20, show_default=True, type=click.IntRange(min=1))
+@click.option("--trials", default=20, show_default=True, type=AT_LEAST_ONE)
 @click.option("--noise", type=click.Choice(["bernoulli", "gaussian", "exact"]),
               default="gaussian", show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True, type=NONNEGATIVE)
 @click.option("--out", default=None, type=click.Path())
 def rmse_sweep_cmd(kappa, eps_f, fixed_r, max_samples, trials, noise,
                    seed, out):
@@ -335,12 +344,12 @@ def _parse_taus(ctx, param, value):
 
 @main.command("rte-single")
 @click.option("--taus", default="1,20,50,80", show_default=True, callback=_parse_taus)
-@click.option("--r", "r_seg", default=100, show_default=True, type=click.IntRange(min=1))
-@click.option("--n-max", default=20, show_default=True)
+@click.option("--r", "r_seg", default=100, show_default=True, type=AT_LEAST_ONE)
+@click.option("--n-max", default=20, show_default=True, type=NONNEGATIVE)
 @click.option("--max-samples", default=10**5, show_default=True, type=click.IntRange(min=100))
-@click.option("--trials", default=20, show_default=True, type=click.IntRange(min=1))
-@click.option("--kappa", default=10.0, show_default=True, type=float)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--trials", default=20, show_default=True, type=AT_LEAST_ONE)
+@click.option("--kappa", default=10.0, show_default=True, type=AT_LEAST_ONE_REAL)
+@click.option("--seed", default=0, show_default=True, type=NONNEGATIVE)
 @click.option("--out", default=None, type=click.Path())
 def rte_single_cmd(taus, r_seg, n_max, max_samples, trials, kappa, seed, out):
     """RMSE of the RTE estimator of a single evolved overlap per tau."""

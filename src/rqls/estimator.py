@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -148,17 +148,7 @@ class ResourceEstimate:
     inputs: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "kernel": self.kernel,
-            "n_s": self.n_s,
-            "log10_n_s": self.log10_n_s,
-            "n_cp_per_sample": self.n_cp_per_sample,
-            "r": self.r,
-            "n_max": self.n_max,
-            "bias_bound": self.bias_bound,
-            "infeasible": self.infeasible,
-            "inputs": self.inputs,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

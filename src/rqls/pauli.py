@@ -297,77 +297,64 @@ def materialize(d: PauliDecomposition) -> np.ndarray:
 COMMUTATOR_QUBIT_GUARD = 8
 
 
+def _commutator_sum(n_qubits: int, a, b):
+    """[A, B] of two Pauli sums, each (x, z, coef) arrays of canonical strings.
+
+    Anticommuting pairs give [P_a, P_b] = 2 P_a P_b, with the phase from
+    `_product_exponent` on groups of two; like strings are merged.
+    """
+    xa, za, ca = a
+    xb, zb, cb = b
+    ia, ib = np.nonzero(_popcount_array(xa[:, None] & zb ^ za[:, None] & xb) & 1)
+    x = np.column_stack([xa[ia], xb[ib]])
+    z = np.column_stack([za[ia], zb[ib]])
+    e, _, _ = _product_exponent(x.ravel(), z.ravel(), np.arange(0, x.size + 1, 2))
+    keys, slot = np.unique((x[:, 0] ^ x[:, 1]) << n_qubits | z[:, 0] ^ z[:, 1],
+                           return_inverse=True)
+    coef = np.zeros(len(keys), dtype=complex)
+    np.add.at(coef, slot, 2 * ca[ia] * cb[ib] * _I_POWERS[e])
+    return keys >> n_qubits, keys & ((1 << n_qubits) - 1), coef
+
+
 def commutator_constant(d: PauliDecomposition, loose: bool = False) -> float:
     """Prefactor of the second-order product-formula error bound.
 
-    Expects the unit-weight decomposition; the value depends on the stored
-    term order.  Returns exactly 0 when all pairs of strings commute
-    (checked symplectically, without dense matrices).  With loose=True the
-    spectral norms are replaced by the Pauli-basis one-norm of each nested
-    commutator, which upper-bounds the exact value and has no size guard.
+    f = sum_l ||[A_{>=l}, C_l]||/12 + ||C_l||/24 with C_l = [A_{>l}, A_l],
+    A_l = c_l P_l.  Expects the unit-weight decomposition; the value depends
+    on the stored term order.  Returns exactly 0 when all pairs of strings
+    commute (checked symplectically, without dense matrices).  The norm is
+    the spectral norm, or with loose=True the Pauli-basis one-norm, which
+    upper-bounds it and has no size guard.
     """
+    coef = np.array([c for c, _ in d.terms], dtype=complex)
+    x = np.array([p.x_mask for _, p in d.terms], dtype=np.int64)
+    z = np.array([p.z_mask for _, p in d.terms], dtype=np.int64)
     L = d.L
-    if L <= 1:
-        return 0.0
-    if all(
-        d.terms[i][1].commutes_with(d.terms[j][1])
-        for i in range(L)
-        for j in range(i + 1, L)
-    ):
+    # more than 2^n distinct strings cannot all commute, so the (L, L) test
+    # never exceeds the 4^n entries of one dense matrix
+    anti = L > 1 << d.n_qubits or (_popcount_array(x[:, None] & z ^ z[:, None] & x) & 1).any()
+    if not anti:
         return 0.0
     if loose:
-        return _commutator_constant_loose(d)
-    if d.n_qubits > COMMUTATOR_QUBIT_GUARD:
-        raise ValueError(
-            f"n_qubits={d.n_qubits} exceeds guard {COMMUTATOR_QUBIT_GUARD}; "
-            "use loose=True for a one-norm fallback"
-        )
-    mats = [c * p.to_matrix() for c, p in d.terms]
-
-    def comm(x, y):
-        return x @ y - y @ x
-
-    total = 0.0
-    for l0 in range(L):
-        tail1 = sum(mats[l0 + 1:], np.zeros_like(mats[0]))
-        tail2 = sum(mats[l0:], np.zeros_like(mats[0]))
-        inner = comm(tail1, mats[l0])
-        total += np.linalg.norm(comm(tail2, inner), 2) / 12.0
-        total += np.linalg.norm(comm(mats[l0], tail1), 2) / 24.0
-    return float(total)
-
-
-def _commutator_constant_loose(d: PauliDecomposition) -> float:
-    # one-norm of nested commutators carried in the Pauli basis
-    def scaled_terms():
-        return [(c, PhasedPauli(1, p)) for c, p in d.terms]
-
-    terms = scaled_terms()
-
-    def comm_terms(xs, ys):
-        acc = {}
-        for cx, px in xs:
-            for cy, py in ys:
-                if px.string.commutes_with(py.string):
-                    continue
-                prod = pauli_product(px, py)
-                # [X, Y] = XY - YX = 2 XY when anticommuting
-                key = (prod.string.x_mask, prod.string.z_mask)
-                acc[key] = acc.get(key, 0) + 2 * cx * cy * prod.phase
-        return [
-            (c, PhasedPauli(1, PauliString(d.n_qubits, k[0], k[1])))
-            for k, c in acc.items()
-            if abs(c) > 0
-        ]
-
-    total = 0.0
-    L = d.L
-    for l0 in range(L):
-        head = [terms[l0]]
-        tail1 = terms[l0 + 1:]
-        tail2 = terms[l0:]
-        inner = comm_terms(tail1, head)
-        outer = comm_terms(tail2, inner)
-        total += sum(abs(c) for c, _ in outer) / 12.0
-        total += sum(abs(c) for c, _ in comm_terms(head, tail1)) / 24.0
-    return float(total)
+        a = (x, z, coef)
+        inner, outer = np.zeros(L), np.zeros(L)
+        for l0 in range(L):
+            c_l = _commutator_sum(d.n_qubits, [v[l0 + 1:] for v in a], [v[l0:l0 + 1] for v in a])
+            inner[l0] = np.abs(c_l[2]).sum()
+            outer[l0] = np.abs(_commutator_sum(d.n_qubits, [v[l0:] for v in a], c_l)[2]).sum()
+    else:
+        if d.n_qubits > COMMUTATOR_QUBIT_GUARD:
+            raise ValueError(
+                f"n_qubits={d.n_qubits} exceeds guard {COMMUTATOR_QUBIT_GUARD}; "
+                "use loose=True for a one-norm fallback"
+            )
+        dim = 1 << d.n_qubits
+        src, phase = d.action_tables()
+        terms = np.zeros((L, dim, dim), dtype=complex)
+        terms[np.arange(L)[:, None], np.arange(dim), src] = coef[:, None] * phase
+        tails = np.cumsum(terms[::-1], axis=0)[::-1]  # A_{>=l}
+        later = np.concatenate([tails[1:], np.zeros_like(terms[:1])])  # A_{>l}
+        c_l = later @ terms - terms @ later
+        inner = np.linalg.norm(c_l, 2, axis=(1, 2))
+        outer = np.linalg.norm(tails @ c_l - c_l @ tails, 2, axis=(1, 2))
+    return float(np.sum(outer / 12.0 + inner / 24.0))

@@ -278,6 +278,21 @@ def test_rte_single_weight_overflow_is_click_error():
     (["verify-series", "--kappa-star", "10", "--eps-t", "1e-2", "--eps-d", "1e-2",
       "--trials", "0"], "--trials"),
     (["table1", "--trials", "-1"], "--trials"),
+    (["rmse-sweep", "--fixed-r", "0"], "--fixed-r"),
+    (["rte-single", "--n-max", "-2"], "--n-max"),
+    (["rte-single", "--kappa", "0.5"], "--kappa"),
+    (["gen-matrix", "--kappa", "2", "--n-qubits", "0"], "--n-qubits"),
+    (["gen-matrix", "--kappa", "2", "--seed", "-1"], "--seed"),
+    (["solve", "--kappa", "0.5"], "--kappa"),
+    (["solve", "--n-qubits", "0"], "--n-qubits"),
+    (["solve", "--kernel", "pf", "--eps-pf", "-1"], "--eps-pf"),
+    (["params", "--kappa-star", "10", "--eps-d", "1e-2", "--eps-t", "0"], "--eps-t"),
+    (["params", "--kappa-star", "10", "--eps-t", "1e-2", "--eps-d", "1e-2",
+      "--lam", "0.5"], "--lam"),
+    (["resources", "--kernel", "rte", "--kappa-star", "10", "--eps-t", "1e-2",
+      "--eps-d", "1e-2", "--delta", "2"], "--delta"),
+    (["resources", "--kernel", "pf", "--kappa-star", "10", "--eps-t", "1e-2",
+      "--eps-d", "1e-2", "--f", "0.1", "--big-l", "0"], "--big-l"),
 ])
 def test_bad_count_is_usage_error_naming_the_option(args, option):
     # rejected while parsing: no traceback, and no NaN output from an empty

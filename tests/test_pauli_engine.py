@@ -253,8 +253,8 @@ def test_commutes_with_matches_dense(n, data):
 
 
 @st.composite
-def small_decompositions(draw):
-    n = draw(st.integers(1, 3))
+def small_decompositions(draw, max_qubits=3):
+    n = draw(st.integers(1, max_qubits))
     mask = st.integers(0, (1 << n) - 1)
     strings = draw(st.lists(st.tuples(mask, mask), min_size=1, max_size=6, unique=True))
     coeffs = draw(st.lists(st.floats(0.05, 1.0) | st.floats(-1.0, -0.05),
@@ -270,3 +270,66 @@ def test_pf_error_within_commutator_bound(d, tau, r):
     # <= f |tau|^3 / r^2 that the pf bias bound and certified r rest on
     err = np.linalg.norm(build_pf(d, tau, r).dense_unitary - exact_evolution(d, tau), 2)
     assert err <= commutator_constant(d) * abs(tau) ** 3 / r**2 + 1e-12
+
+
+def dense_commutator_constants(d):
+    """f = sum_l ||[A_{>=l}, C_l]||/12 + ||C_l||/24, C_l = [A_{>l}, A_l], from
+    Kronecker-product matrices of the terms: (spectral norm, Pauli one-norm
+    sum_P |Tr(P^dag M)| / dim)."""
+    dim = 1 << d.n_qubits
+    basis = np.array([dense_from_text(PauliString(d.n_qubits, x, z).to_text())
+                      for x in range(dim) for z in range(dim)])
+    mats = [c * dense_from_text(p.to_text()) for c, p in d.terms]
+    zero = np.zeros_like(mats[0])
+
+    def comm(a, b):
+        return a @ b - b @ a
+
+    def one_norm(m):
+        return np.abs(np.einsum("kij,ij->k", basis.conj(), m)).sum() / dim
+
+    exact = loose = 0.0
+    for l0 in range(len(mats)):
+        inner = comm(sum(mats[l0 + 1:], zero), mats[l0])
+        outer = comm(sum(mats[l0:], zero), inner)
+        exact += np.linalg.norm(outer, 2) / 12 + np.linalg.norm(inner, 2) / 24
+        loose += one_norm(outer) / 12 + one_norm(inner) / 24
+    return exact, loose
+
+
+def assert_commutator_constants(d):
+    exact, loose = dense_commutator_constants(d)
+    f, f_loose = commutator_constant(d), commutator_constant(d, loose=True)
+    assert f == pytest.approx(exact, rel=1e-10, abs=1e-12)
+    assert f_loose == pytest.approx(loose, rel=1e-10, abs=1e-12)
+    assert f_loose >= f * (1 - 1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=small_decompositions(max_qubits=4))
+def test_commutator_constant_matches_dense_nested_commutators(d):
+    assert_commutator_constants(d)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_commutator_constant_of_full_decomposition_matches_dense(n):
+    # every string present, so distinct pairs of the outer commutator land on
+    # the same string and must be merged before the one-norm is taken
+    assert_commutator_constants(random_unit_decomposition(n, np.random.default_rng(n)))
+
+
+def test_commutator_constant_guard_only_for_anticommuting_sets():
+    n = 9  # above COMMUTATOR_QUBIT_GUARD
+    z_family = [PauliString(n, 0, 1 << q) for q in range(n)]
+    z_family += [PauliString(n, 0, 3 << q) for q in range(n - 1)]
+    d = PauliDecomposition(n, tuple((1.0, p) for p in z_family)).rescaled()
+    assert commutator_constant(d) == 0.0
+    assert commutator_constant(d, loose=True) == 0.0
+    # 0.5 X + 0.5 Z on qubit 0: the same f as on one qubit
+    pair = PauliDecomposition(n, ((0.5, PauliString(n, 1, 0)), (0.5, PauliString(n, 0, 1))))
+    with pytest.raises(ValueError, match="guard"):
+        commutator_constant(pair)
+    one = PauliDecomposition(1, ((0.5, PauliString(1, 1, 0)), (0.5, PauliString(1, 0, 1))))
+    f_loose = commutator_constant(pair, loose=True)
+    assert math.isfinite(f_loose) and f_loose > 0
+    assert f_loose == commutator_constant(one, loose=True)
