@@ -75,6 +75,20 @@ def _write_csv(out, manifest: dict, header, rows):
             click.echo(f"wrote {out}")
 
 
+def _bounded(options, fn, *args):
+    """fn(*args), with the ValueError of a bound that ties several options
+    together turned into a usage error naming them."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint=options) from None
+
+
+# the options behind a series' bounds: eps_T < 3 kappa_tilde, with
+# kappa_tilde = lam kappa*, and the term guard on J K
+SERIES_OPTIONS = ["--eps-t", "--eps-d", "--kappa-star", "--lam"]
+
+
 @click.group()
 def main():
     """Randomized quantum linear systems solver toolkit."""
@@ -104,7 +118,7 @@ def gen_matrix_cmd(n_qubits, kappa, seed, out):
 def params_cmd(kappa_star, lam, eps_t, eps_d, out):
     """Truncation bounds and grid sizes for the inverse-function series."""
     kt = rescale(kappa_star, lam)
-    trunc = truncation_params(kt, eps_t)
+    trunc = _bounded(["--eps-t", "--kappa-star", "--lam"], truncation_params, kt, eps_t)
     big_j, big_k = fourier_params(kt, eps_t, eps_d, trunc)
     config = {"command": "params", "kappa_star": kappa_star, "lam": lam,
               "eps_t": eps_t, "eps_d": eps_d}
@@ -124,7 +138,7 @@ def params_cmd(kappa_star, lam, eps_t, eps_d, out):
 @click.option("--out", default=None, type=click.Path())
 def build_series_cmd(kappa_star, lam, eps_t, eps_d, out):
     """Build the series and report its normalization constants."""
-    series = build_series(kappa_star, lam, eps_t, eps_d)
+    series = _bounded(SERIES_OPTIONS, build_series, kappa_star, lam, eps_t, eps_d)
     config = {"command": "build-series", "kappa_star": kappa_star, "lam": lam,
               "eps_t": eps_t, "eps_d": eps_d}
     payload = _manifest(config, 0)
@@ -152,7 +166,7 @@ def build_series_cmd(kappa_star, lam, eps_t, eps_d, out):
 @click.option("--out", default=None, type=click.Path())
 def verify_series_cmd(kappa_star, lam, eps_t, eps_d, trials, seed, out):
     """Measure the worst scalar series error over random spectra."""
-    series = build_series(kappa_star, lam, eps_t, eps_d)
+    series = _bounded(SERIES_OPTIONS, build_series, kappa_star, lam, eps_t, eps_d)
     kt = series.kappa_tilde
     rng = sample_rng(seed, 1)
     xs = np.concatenate(
@@ -205,7 +219,7 @@ def table1_cmd(trials, heavy, seed, out):
 def resources_cmd(kernel, kappa_star, lam, eps_t, eps_d, eps, delta,
                   f_const, big_l, r_seg, out):
     """Certified sample and gate counts for a kernel at a target accuracy."""
-    series = build_series(kappa_star, lam, eps_t, eps_d)
+    series = _bounded(SERIES_OPTIONS, build_series, kappa_star, lam, eps_t, eps_d)
     if kernel == "pf":
         if f_const is None or big_l is None:
             raise click.UsageError("--kernel pf needs --f and --big-l")
@@ -213,8 +227,9 @@ def resources_cmd(kernel, kappa_star, lam, eps_t, eps_d, eps, delta,
                            f_const, series.t_max, big_l)
     else:
         r = r_seg if r_seg is not None else math.ceil(series.t_max)
-        est = rte_resources(eps, delta, series.N_y, series.N_z, series.lam,
-                            series.t_max, series.t_min_abs, r)
+        est = _bounded(["--r", "--kappa-star", "--lam", "--eps-t"], rte_resources,
+                       eps, delta, series.N_y, series.N_z, series.lam,
+                       series.t_max, series.t_min_abs, r)
     config = {"command": "resources", "kernel": kernel,
               "kappa_star": kappa_star, "lam": lam, "eps_t": eps_t,
               "eps_d": eps_d, "eps": eps, "delta": delta, "f": f_const,

@@ -120,7 +120,10 @@ class KernelConfig:
 # ---------------------------------------------------------------------------
 # records and reports
 
-@dataclass(frozen=True)
+# slots, not frozen: a frozen dataclass sets each field through
+# object.__setattr__, which costs several times the slotted stores on a
+# record per sample
+@dataclass(slots=True)
 class SampleRecord:
     sample_index: int
     tau: float

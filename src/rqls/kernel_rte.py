@@ -158,7 +158,6 @@ class _TermTables:
     extra: np.ndarray  # i-power a prefix string brings: 1, or 3 if c_l < 0
     sign_bit: int
     q_packed: np.ndarray  # rotation string (x, z) plus the sign of c_l
-    src: np.ndarray  # pauli_action row gathers, in term order
     coef: np.ndarray  # -i times the pauli_action phases
 
 
@@ -176,34 +175,37 @@ def _term_tables(d: PauliDecomposition) -> _TermTables:
     # of Q's coefficient, so an odd count flips the sign of tan(theta)
     sign_bit = 1 << (2 * nq)
     q_packed = (xs << nq) | zs | np.where(coeffs < 0, sign_bit, 0)
-    src, phase = d.action_tables()
+    _, phase = d.action_tables()
     coef = -1j * phase
-    for a in (xs, zs, extra, q_packed, src, coef):
+    for a in (xs, zs, extra, q_packed, coef):
         a.flags.writeable = False
-    return _TermTables(xs, zs, terms, extra, sign_bit, q_packed, src, coef)
+    return _TermTables(xs, zs, terms, extra, sign_bit, q_packed, coef)
 
 
 def _frames(d, model, r, n, rng):
     """Draw n r-segment samples, in blocks, and the Pauli frame of each.
 
     A block holds max(1, DRAW_BLOCK // r) samples and consumes randomness
-    in three alias draws: its orders (sample by sample, segments in order),
-    then its prefix strings in that same order, then its rotation strings.
+    in two alias draws: its (order, rotation term) pairs from one joint
+    table (sample by sample, segments in order), then its prefix strings in
+    that same order.  The order and the rotation term of a segment are
+    independent, so the joint table is the outer product of their laws.
     Yields per block (e, tx, tz, scale, tan, rot): per sample i^e, T and
     the product of cos theta; per segment (n, r) tan theta' and rotation
     term.
     """
     nq = d.n_qubits
     t = _term_tables(d)
-    orders = AliasTable(model.probabilities)
+    n_terms = len(t.xs)
+    joint = AliasTable(np.multiply.outer(model.probabilities,
+                                         t.terms.probabilities).ravel())
     tan_pm = np.stack([np.tan(model.thetas), -np.tan(model.thetas)], axis=1).ravel()
     step = max(1, DRAW_BLOCK // r)
     for i in range(0, n, step):
         m = min(step, n - i)
-        order_idx = orders.draw_batch(rng, m * r).reshape(m, r)
+        order_idx, rot = np.divmod(joint.draw_batch(rng, m * r).reshape(m, r), n_terms)
         cut = _scan(np.add, model.orders[order_idx].ravel())
         pre = t.terms.draw_batch(rng, int(cut[-1]))
-        rot = t.terms.draw_batch(rng, m * r).reshape(m, r)
         bounds = cut[::r]
         e, cx, cz = _product_exponent(t.xs[pre], t.zs[pre], bounds, t.extra[pre])
         s0, s1 = bounds[:-1], bounds[1:]
@@ -227,11 +229,13 @@ def _fold(d, rot, tan, r, tx, tz, scale, states) -> np.ndarray:
     that prefix of the state, and a run of steps of equal prefix length a
     is one contiguous (steps x a) slice.  The steps' row gathers and
     coefficients are taken in blocks of at most DRAW_BLOCK state entries,
-    each block within such a run.
+    each block within such a run.  Row i of P_l v reads v[i ^ x_l], so in
+    the flat state sample p's row i reads p dim + (i ^ x_l), which is
+    (p dim + i) ^ x_l as x_l < dim.
     """
     n, dim = states.shape
     t = _term_tables(d)
-    rows0 = (np.arange(n) * dim)[:, None]
+    flat = np.arange(n * dim).reshape(n, dim)  # (p dim + i) per entry
     state = np.array(states, dtype=complex).ravel()  # the samples end to end
     lo = off = 0
     # steps [lo, hi) have the a samples of r >= hi active, a run of equal
@@ -242,15 +246,13 @@ def _fold(d, rot, tan, r, tx, tz, scale, states) -> np.ndarray:
         k = a * dim
         per_block = max(1, DRAW_BLOCK // k)
         head, g = state[:k], np.empty(k, dtype=complex)
-        offsets = np.tile(rows0[:a], (min(per_block, hi - lo), 1))
         for b in range(lo, hi, per_block):
             steps = min(per_block, hi - b)
             # flat (steps x a) term indices
             terms = rot[off:off + steps * a]
             # the ndarray.take methods skip np.take's dispatch, which costs
             # as much as the gathers themselves on narrow steps
-            rows = t.src.take(terms, axis=0)
-            rows += offsets[:len(terms)]
+            rows = flat[:a] ^ t.xs.take(terms).reshape(steps, a, 1)
             c = t.coef.take(terms, axis=0)
             c *= tan[off:off + steps * a].reshape(-1, 1)
             off += steps * a
@@ -261,8 +263,8 @@ def _fold(d, rot, tan, r, tx, tz, scale, states) -> np.ndarray:
                 g *= c_s
                 head += g
         lo = hi
-    t_src, t_phase = pauli_action(d.n_qubits, tx, tz)
-    out = state.take(t_src + rows0)
+    _, t_phase = pauli_action(d.n_qubits, tx, tz)
+    out = state.take(flat ^ tx[:, None])
     out *= t_phase * scale[:, None]
     return out
 
@@ -358,7 +360,10 @@ def _fold_group(d, group, psi, conj_phi, rng):
 
     Each pair is drawn by `_frames` in turn, and each block goes straight to
     its slots in the packed sweep layout of `_fold`: segment c of sorted
-    sample p to start[r - 1 - c] + p, step s starting at start[s]."""
+    sample p to start[r - 1 - c] + p, step s starting at start[s].  While
+    no sample of the group has a smaller r than the pair, every sample is
+    active in the pair's steps, so start[s] = s a for a samples and the
+    pair's slots are the strided (r x a) view of the first r a entries."""
     rs = np.array([r for _, r, _ in group])
     counts = np.array([count for *_, count in group])
     r_sample = np.repeat(rs, counts)
@@ -373,26 +378,27 @@ def _fold_group(d, group, psi, conj_phi, rng):
     tan = np.empty(start[-1])
     e, tx, tz = (np.empty(len(order), dtype=np.int64) for _ in range(3))
     scale = np.empty(len(order))
+    a = len(order)
     i = 0  # the group's samples in draw order; a block's are consecutive
     for model, r, count in group:
         dest = None
-        for e_b, tx_b, tz_b, scale_b, tan_b, rot_b, *_ in _frames(d, model, r, count, rng):
+        strided = r == rs.min()
+        for e_b, tx_b, tz_b, scale_b, tan_b, rot_b in _frames(d, model, r, count, rng):
             p, m = col[i], len(e_b)
             e[p:p + m], tx[p:p + m], tz[p:p + m], scale[p:p + m] = e_b, tx_b, tz_b, scale_b
-            if dest is None:  # slots of the pair's first block, the largest
-                dest = np.add.outer(np.arange(m), start[r - 1::-1])
-            rot[p:][dest[:m]], tan[p:][dest[:m]] = rot_b, tan_b
+            if strided:
+                rot[:r * a].reshape(r, a)[:, p:p + m] = rot_b[:, ::-1].T
+                tan[:r * a].reshape(r, a)[:, p:p + m] = tan_b[:, ::-1].T
+            else:
+                if dest is None:  # slots of the pair's first block, the largest
+                    dest = np.add.outer(np.arange(m), start[r - 1::-1])
+                rot[p:][dest[:m]], tan[p:][dest[:m]] = rot_b, tan_b
             i += m
     out = _fold(d, rot, tan, r_sample[order], tx, tz, scale,
                 np.broadcast_to(psi, (len(order), len(psi))))
-    v = out[col]
-    overlaps = v @ conj_phi
-    # BLAS takes one row as a dot product and several as gemv, which round
-    # apart; contract each pair's samples as a fold of that pair alone does
-    single = np.repeat(counts == 1, counts)
-    if single.any():
-        overlaps[single] = (v[single, None, :] @ conj_phi[:, None])[:, 0, 0]
-    return e[col], overlaps
+    # an elementwise product summed along each row rounds the same in any
+    # batch, so a sample's overlap does not depend on its group
+    return e[col], (out[col] * conj_phi).sum(axis=1)
 
 
 def rte_bias_log(

@@ -27,7 +27,24 @@ def sample_rng(master_seed: int, *key) -> np.random.Generator:
 
 
 class AliasTable:
-    """Walker alias table for O(1) draws from a fixed discrete distribution."""
+    """Walker alias table for O(1) draws from a fixed discrete distribution.
+
+    The table pairs lights (n p_i < 1) with heavies (n p_i >= 1) as the
+    classic small/large worklist does when it pops both lists from the end,
+    but in one prefix-sum sweep (Hübschle-Schneider and Sanders, "Parallel
+    Weighted Random Sampling", ESA 2019).  Take lights and heavies each in
+    decreasing index order, light k with deficit 1 - n p and cumulative
+    deficit D_k, heavy j with surplus n p - 1 and cumulative surplus S_j.
+    Light k aliases the first heavy j with S_j >= D_{k-1}.  Heavy j keeps
+    1 - (D_k - S_j) and aliases heavy j + 1, k being the first light with
+    D_k > S_j; a heavy no light passes, and the last heavy, keep 1.
+
+    The worklist breaks a near tie (a heavy's running residual within a few
+    ulps of 1) by its own roundoff.  Prefix sums in float64 carry an error
+    of ulp(n), enough to break such ties the other way in the Gauss-Legendre
+    weight tables; in extended precision (x86 long double) they reproduce
+    the worklist's tables on the series tables of the tests and benchmarks.
+    """
 
     def __init__(self, probabilities):
         p = np.asarray(probabilities, dtype=float)
@@ -41,21 +58,27 @@ class AliasTable:
         self.probabilities = p
         n = len(p)
         scaled = p * n
+        light = scaled < 1.0
         alias = np.zeros(n, dtype=np.int64)
-        accept = np.ones(n)
-        small = [i for i in range(n) if scaled[i] < 1.0]
-        large = [i for i in range(n) if scaled[i] >= 1.0]
-        while small and large:
-            s = small.pop()
-            l = large.pop()
-            accept[s] = scaled[s]
-            alias[s] = l
-            scaled[l] -= 1.0 - scaled[s]
-            (small if scaled[l] < 1.0 else large).append(l)
-        for i in large + small:
-            # leftovers are numerically 1 up to roundoff -- unless they had
-            # exactly zero probability, which must never be drawn
-            accept[i] = 0.0 if p[i] == 0.0 else 1.0
+        accept = np.where(light, scaled, 1.0)
+        lights = np.flatnonzero(light)[::-1]
+        heavies = np.flatnonzero(~light)[::-1]
+        deficit = np.cumsum(1.0 - scaled[lights], dtype=np.longdouble)
+        surplus = np.cumsum(scaled[heavies] - 1.0, dtype=np.longdouble)
+        # each light's heavy, from D_{k-1}; past the last heavy, the light is
+        # a leftover
+        to = np.searchsorted(surplus, np.concatenate(([0.0], deficit))[:-1])
+        paired = to < len(heavies)
+        alias[lights[paired]] = heavies[to[paired]]
+        # leftovers are numerically 1 up to roundoff -- unless they had
+        # exactly zero probability, which must never be drawn
+        left = lights[~paired]
+        accept[left] = p[left] > 0.0
+        # the light that passes each heavy but the last, if any
+        passed = np.searchsorted(deficit, surplus[:-1], side="right")
+        ends = np.flatnonzero(passed < len(lights))
+        accept[heavies[ends]] = 1.0 - (deficit[passed[ends]] - surplus[ends])
+        alias[heavies[ends]] = heavies[ends + 1]
         self._alias = alias
         self._accept = accept
 

@@ -301,3 +301,27 @@ def test_bad_count_is_usage_error_naming_the_option(args, option):
     assert result.exit_code == 2, result.output
     assert not isinstance(result.exception, ValueError)
     assert f"Invalid value for '{option}'" in result.output
+
+
+@pytest.mark.parametrize("args, options", [
+    # eps_T < 3 kappa_tilde
+    (["params", "--kappa-star", "1", "--eps-t", "5", "--eps-d", "0.01"],
+     "'--eps-t' / '--kappa-star' / '--lam'"),
+    (["build-series", "--kappa-star", "1", "--eps-t", "5", "--eps-d", "0.01"],
+     "'--eps-t' / '--eps-d' / '--kappa-star' / '--lam'"),
+    (["verify-series", "--kappa-star", "1", "--eps-t", "5", "--eps-d", "0.01"],
+     "'--eps-t' / '--eps-d' / '--kappa-star' / '--lam'"),
+    (["resources", "--kernel", "pf", "--kappa-star", "1", "--eps-t", "5", "--eps-d", "0.01",
+      "--f", "0.1", "--big-l", "4"], "'--eps-t' / '--eps-d' / '--kappa-star' / '--lam'"),
+    # J K beyond the series term guard
+    (["build-series", "--kappa-star", "1e6", "--eps-t", "1e-10", "--eps-d", "1e-10"],
+     "'--eps-t' / '--eps-d' / '--kappa-star' / '--lam'"),
+    # r >= t_max, with t_max from the series
+    (["resources", "--kernel", "rte", "--kappa-star", "10", "--eps-t", "1e-2",
+      "--eps-d", "1e-2", "--r", "2"], "'--r' / '--kappa-star' / '--lam' / '--eps-t'"),
+])
+def test_bound_between_options_is_usage_error_naming_them(args, options):
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert not isinstance(result.exception, ValueError)
+    assert f"Invalid value for {options}" in result.output

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -87,6 +88,18 @@ def test_r_for_policies():
 def test_sample_record_z_hat():
     rec = SampleRecord(0, 1.0, "exact", 1, 2j, 0.5, -1.0)
     assert rec.z_hat == 2j * complex(0.5, -1.0)
+
+
+def test_sample_record_replace_and_asdict():
+    # the benchmark's planted faults rebuild records with dataclasses.replace
+    rec = SampleRecord(0, 1.0, "exact", 1, 2j, 0.5, -1.0)
+    bad = dataclasses.replace(rec, shot_re=-0.5)
+    assert (bad.shot_re, rec.shot_re) == (-0.5, 0.5)
+    assert bad.z_hat == 2j * complex(-0.5, -1.0)
+    assert dataclasses.asdict(rec) == {
+        "sample_index": 0, "tau": 1.0, "kernel": "exact", "r": 1,
+        "prefactor": 2j, "shot_re": 0.5, "shot_im": -1.0,
+    }
 
 
 def test_pf_bias_bound_values():

@@ -264,18 +264,20 @@ def test_choose_nmax_infeasible():
 def documented_draws(d, model, r, n, rng):
     """(order index (n, r), flat prefix terms, rotation terms (n, r)),
     drawn in the order the batch sampler documents: blocks of
-    max(1, DRAW_BLOCK // r) samples, each block its orders, then its prefix
-    strings, then its rotation strings."""
+    max(1, DRAW_BLOCK // r) samples, each block its (order, rotation term)
+    pairs from one joint table over their product law, then its prefix
+    strings."""
     coeffs = np.array([c for c, _ in d.terms])
-    terms = AliasTable(np.abs(coeffs) / np.abs(coeffs).sum())
-    orders = AliasTable(model.probabilities)
+    q = np.abs(coeffs) / np.abs(coeffs).sum()
+    terms = AliasTable(q)
+    joint = AliasTable(np.outer(model.probabilities, q).ravel())
     step = max(1, DRAW_BLOCK // r)
     order_idx, pre, rot = [], [], []
     for i in range(0, n, step):
         m = min(step, n - i)
-        o = orders.draw_batch(rng, m * r)
+        o, l = np.divmod(joint.draw_batch(rng, m * r), len(q))
         pre.append(terms.draw_batch(rng, int(model.orders[o].sum())))
-        rot.append(terms.draw_batch(rng, m * r).reshape(m, r))
+        rot.append(l.reshape(m, r))
         order_idx.append(o.reshape(m, r))
     return np.concatenate(order_idx), np.concatenate(pre), np.concatenate(rot)
 
@@ -434,6 +436,17 @@ def test_fold_groups_match_pair_by_pair(monkeypatch, group_entries, sizes):
     # at 100 entries the r = 200 pair is a group of its own, and r = 1
     # pairs sit in mixed groups; every sample is bit for bit what a fold
     # of its pair alone gives
+    check_fold_groups(monkeypatch, group_entries, sizes, 2)
+
+
+@pytest.mark.parametrize("group_entries, sizes", [(None, [7]), (100, [2, 1, 4])])
+def test_fold_groups_match_pair_by_pair_at_four_qubits(monkeypatch, group_entries, sizes):
+    # at dim 16 numpy sums each row of the final contraction pairwise, in
+    # the same order in any batch
+    check_fold_groups(monkeypatch, group_entries, sizes, 4)
+
+
+def check_fold_groups(monkeypatch, group_entries, sizes, n_qubits):
     if group_entries is not None:
         monkeypatch.setattr(kernel_rte, "FOLD_GROUP_ENTRIES", group_entries)
     groups = []
@@ -441,10 +454,11 @@ def test_fold_groups_match_pair_by_pair(monkeypatch, group_entries, sizes):
     monkeypatch.setattr(kernel_rte, "_fold_group",
                         lambda d, group, *args: groups.append(len(group))
                         or fold_group(d, group, *args))
-    d = random_unit_decomposition(2, np.random.default_rng(40))
+    d = random_unit_decomposition(n_qubits, np.random.default_rng(40))
     rng = np.random.default_rng(41)
-    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    phi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    dim = 1 << n_qubits
+    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    phi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     psi /= np.linalg.norm(psi)
     phi /= np.linalg.norm(phi)
     pairs = [(segment_model(1.5, r, 6), r, count) for r, count in GROUP_PAIRS]

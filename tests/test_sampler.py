@@ -47,17 +47,79 @@ def test_alias_table_frequencies():
     assert np.all(np.abs(counts / n - p) < 4 * sigma)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.floats(0.0, 1.0) | st.just(0.0), min_size=1, max_size=64)
-       .filter(lambda w: sum(w) > 0))
-def test_alias_table_reconstructs_p(weights):
+def worklist_alias_table(p):
+    """(alias, accept) of the classic small/large worklist build, both lists
+    popped from the end: the oracle for AliasTable's prefix-sum sweep."""
+    n = len(p)
+    scaled = p * n
+    alias = np.zeros(n, dtype=np.int64)
+    accept = np.ones(n)
+    small = [i for i in range(n) if scaled[i] < 1.0]
+    large = [i for i in range(n) if scaled[i] >= 1.0]
+    while small and large:
+        s = small.pop()
+        l = large.pop()
+        accept[s] = scaled[s]
+        alias[s] = l
+        scaled[l] -= 1.0 - scaled[s]
+        (small if scaled[l] < 1.0 else large).append(l)
+    for i in large + small:
+        accept[i] = 0.0 if p[i] == 0.0 else 1.0
+    return alias, accept
+
+
+def assert_alias_table_is_p(p, alias, accept):
     # slot i is drawn with probability 1/n; it yields i with its accept
     # probability and its alias otherwise
+    n = len(p)
+    mass = accept + np.bincount(alias, weights=1 - accept, minlength=n)
+    assert np.abs(mass / n - p).max() <= 1e-12
+    assert accept.min() >= -1e-12 and accept.max() <= 1.0
+    # a zero-probability entry keeps nothing and is no live alias
+    assert (accept[p == 0] == 0).all()
+    assert (p[alias[accept < 1]] > 0).all()
+
+
+weight_lists = st.lists(st.floats(0.0, 1.0) | st.just(0.0), min_size=1, max_size=64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(weight_lists, weight_lists.map(lambda w: w + w[::-1]),
+                 st.tuples(st.floats(0.01, 1.0), st.integers(1, 64)).map(lambda t: [t[0]] * t[1]))
+       .filter(lambda w: sum(w) > 0))
+def test_alias_table_reconstructs_p(weights):
+    # plain, mirrored (tied pairs) and uniform (all tied) weights; the
+    # worklist oracle meets the same conditions
     p = np.array(weights) / sum(weights)
     table = AliasTable(p)
-    n = len(p)
-    mass = table._accept + np.bincount(table._alias, weights=1 - table._accept, minlength=n)
-    assert np.abs(mass / n - p).max() <= 1e-12
+    assert_alias_table_is_p(p, table._alias, table._accept)
+    assert_alias_table_is_p(p, *worklist_alias_table(p))
+
+
+def test_alias_sweep_reproduces_worklist_on_generic_weights():
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 3, 11, 176, 704, 5000):
+        p = rng.random(n)
+        p /= p.sum()
+        alias, accept = worklist_alias_table(p)
+        table = AliasTable(p)
+        assert np.array_equal(table._alias, alias)
+        assert np.abs(table._accept - accept).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kappa_tilde, eps", [(20.0, 1e-2), (4.0, 1e-1), (17.466, 1e-2)])
+def test_alias_sweep_reproduces_worklist_on_series_tables(kappa_tilde, eps):
+    # the y and z tables of the solve (J = 288) and studies (J = 44) series,
+    # and one like criterion 7's; in the J = 288 and criterion-7-like y
+    # tables the worklist's running residual of a heavy ends within a few
+    # ulps of 1, a near tie that float64 prefix sums break the other way
+    ts = TimeSampler(build_series(kappa_tilde, 1.0, eps, eps))
+    for table in (ts.p_y, ts.p_z):
+        p = table.probabilities
+        alias, accept = worklist_alias_table(p)
+        assert_alias_table_is_p(p, table._alias, table._accept)
+        assert np.array_equal(table._alias, alias)
+        assert np.abs(table._accept - accept).max() <= 1e-12
 
 
 def test_alias_table_zero_prob_never_drawn():
