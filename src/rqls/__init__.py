@@ -29,7 +29,6 @@ from .fourier import (
     build_series,
     fourier_params,
     gauss_legendre,
-    normalization,
     rescale,
     truncation_params,
 )
@@ -49,11 +48,9 @@ from .kernel_rte import (
 from .pauli import (
     PauliDecomposition,
     PauliString,
-    PhasedPauli,
     commutator_constant,
     materialize,
     pauli_decompose,
-    pauli_product,
 )
 from .randmat import MatrixArtifact, gen_matrix, haar_unitary
 from .sampler import AliasTable, TimeSampler, sample_rng

@@ -241,7 +241,9 @@ def resources_cmd(kernel, kappa_star, lam, eps_t, eps_d, eps, delta,
     _write_json(out, payload)
 
 
-def _load_problem(matrix_path, n_qubits, kappa, seed, eps_t, eps_d, kappa_star):
+def _load_problem(options, matrix_path, n_qubits, kappa, seed, eps_t, eps_d, kappa_star):
+    """The problem of `solve` and `rmse-sweep`; options name the command's
+    options behind the series' bounds, for `_bounded`."""
     if matrix_path:
         with open(matrix_path) as fh:
             art = json.load(fh)
@@ -252,7 +254,7 @@ def _load_problem(matrix_path, n_qubits, kappa, seed, eps_t, eps_d, kappa_star):
         d = gen_matrix(n_qubits, kappa, rng).decomposition
         kappa_eff = kappa
     ks = kappa_star if kappa_star is not None else kappa_eff
-    series = build_series(ks, d.lam, eps_t, eps_d)
+    series = _bounded(options, build_series, ks, d.lam, eps_t, eps_d)
     psi = StateVector.basis(d.n_qubits, 0)
     phi = StateVector.basis(d.n_qubits, 0)
     return Problem(d, psi, phi, series)
@@ -285,8 +287,8 @@ def solve_cmd(matrix_path, n_qubits, kappa, kappa_star, eps_t, eps_d,
               kernel, r_fixed, r_quad, eps_pf, n_max, n_samples, noise, seed,
               out):
     """End-to-end Monte Carlo estimate of <phi|A^{-1}|psi>."""
-    problem = _load_problem(matrix_path, n_qubits, kappa, seed, eps_t, eps_d,
-                            kappa_star)
+    problem = _load_problem(["--eps-t", "--kappa-star", "--kappa"], matrix_path,
+                            n_qubits, kappa, seed, eps_t, eps_d, kappa_star)
     f = 0.0
     if eps_pf > 0:
         f = commutator_constant(problem.unit_decomposition, loose=True)
@@ -335,7 +337,8 @@ def solve_cmd(matrix_path, n_qubits, kappa, kappa_star, eps_t, eps_d,
 def rmse_sweep_cmd(kappa, eps_f, fixed_r, max_samples, trials, noise,
                    seed, out):
     """RMSE convergence per kernel policy (exact, fixed r, adaptive r)."""
-    problem = _load_problem(None, 2, kappa, seed, eps_f / 2, eps_f / 2, None)
+    problem = _load_problem(["--eps-f", "--kappa"], None, 2, kappa, seed,
+                            eps_f / 2, eps_f / 2, None)
     schedule = log_schedule(100, max_samples)
     results = rmse_sweep(problem, sweep_policies(fixed_r), schedule, trials,
                          noise, seed)

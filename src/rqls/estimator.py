@@ -25,7 +25,7 @@ from .kernel_rte import (
     rte_bias_bound,
     segment_model,
 )
-from .pauli import _I_POWERS, PauliDecomposition, materialize
+from .pauli import _I_POWERS, PauliDecomposition
 from .sampler import DRAW_BLOCK, TimeSampler, sample_rng
 from .simulator import (
     EXACT_EVOLUTION_QUBIT_GUARD,
@@ -62,10 +62,10 @@ class Problem:
         return self.decomposition.rescaled()
 
     def truth(self) -> complex:
-        """<phi|A^{-1}|psi> by dense solve."""
-        a = materialize(self.decomposition)
-        x = np.linalg.solve(a, self.psi.amplitudes)
-        return complex(self.phi.amplitudes.conj() @ x)
+        """<phi|A^{-1}|psi> = sum_i (phi^* v_i)(v_i^* psi) / (lam x_i), from
+        the cached spectrum (x_i, v_i) of A/lam."""
+        evals, w = _spectral_weights(self)
+        return complex(np.sum(w / evals) / self.decomposition.lam)
 
 
 @dataclass(frozen=True)
@@ -296,9 +296,9 @@ def rte_resources(
 # ---------------------------------------------------------------------------
 # the chunked Monte Carlo estimator
 
-def _exact_overlaps(problem: Problem, taus) -> np.ndarray:
-    """<phi| e^{-i (A/lam) tau} |psi> for an array of taus, same shape, from
-    the cached spectrum of A/lam."""
+def _spectral_weights(problem: Problem):
+    """(x_i, (phi^* v_i)(v_i^* psi)) over the cached spectrum (x_i, v_i) of
+    A/lam."""
     d = problem.unit_decomposition
     if d.n_qubits > EXACT_EVOLUTION_QUBIT_GUARD:
         raise ValueError(f"n_qubits={d.n_qubits} exceeds dense guard")
@@ -306,6 +306,12 @@ def _exact_overlaps(problem: Problem, taus) -> np.ndarray:
     w = (problem.phi.amplitudes.conj() @ evecs) * (
         evecs.conj().T @ problem.psi.amplitudes
     )
+    return evals, w
+
+
+def _exact_overlaps(problem: Problem, taus) -> np.ndarray:
+    """<phi| e^{-i (A/lam) tau} |psi> for an array of taus, same shape."""
+    evals, w = _spectral_weights(problem)
     return np.exp(-1j * np.multiply.outer(taus, evals)) @ w
 
 
@@ -416,7 +422,7 @@ def run_solver(
     the chunk's pairs together, sorted by r, in groups of consecutive pairs
     whose segment count (sum of r) is bounded by
     `kernel_rte.FOLD_GROUP_ENTRIES`, with the same results as one fold per
-    pair.  truth and abs_error come from a dense solve up to 10 qubits.
+    pair.  truth and abs_error come from the dense spectrum up to 10 qubits.
 
     diagnostics: "kernel_cache_size", the number of distinct grid pairs
     evaluated (summed over chunks); "certified", whether the spectrum of
@@ -454,7 +460,7 @@ def run_solver(
             ))
     estimate = complex(math.fsum(sums_re) / n_s, math.fsum(sums_im) / n_s)
     truth = abs_error = None
-    if problem.decomposition.n_qubits <= 10:
+    if problem.decomposition.n_qubits <= EXACT_EVOLUTION_QUBIT_GUARD:
         truth = problem.truth()
         abs_error = abs(estimate - truth)
     diagnostics = {"kernel_cache_size": n_pairs,

@@ -402,19 +402,3 @@ def build_series(
     t_min_abs = float(y_nodes.min() * np.abs(z_nodes[nz_mask]).min())
     return FourierSeries(grid, trunc, eps_D, lam, n_y, n_z, t_min_abs)
 
-
-def normalization(series: FourierSeries):
-    """(N_y, N_z) by direct summation; N_y is checked against y_max/sqrt(2*pi).
-
-    N_z is the Riemann sum of int |z| exp(-z^2/2) dz over [-z_max, z_max]:
-    it tends to 2 (1 - exp(-z_max^2/2)) with an O(dz^2) error whose leading
-    term is -dz^2/6 for odd K and +dz^2/12 for even K (see FourierSeries).
-    """
-    n_y = float(np.abs(series.grid.wy_weights).sum() / SQRT_2PI)
-    n_z = float(np.abs(series.z_amplitudes()).sum())
-    expected = series.trunc.y_max / SQRT_2PI
-    if abs(n_y / expected - 1) > 1e-10:
-        raise AssertionError(
-            f"N_y = {n_y} deviates from y_max/sqrt(2*pi) = {expected}"
-        )
-    return n_y, n_z

@@ -6,11 +6,10 @@ sweep.  The two adjacent half-angles of the last term are merged, so a step
 stores 2L-1 rotations; the reported non-Clifford count stays 2L per step
 (2rL per sample), matching the unmerged circuit accounting.
 
-`strang_unitaries` builds S(tau/r)^r for many (tau, r) pairs at once: the
+`strang_overlaps` builds S(tau/r)^r for many (tau, r) pairs at once: the
 merged step for the whole batch from one Pauli action table, then each
-step raised to its own r by batched binary exponentiation.
-`strang_overlaps` contracts each chunk of those products with two states
-as it is built.
+step raised to its own r by batched binary exponentiation, and contracts
+each chunk of those products with two states as it is built.
 """
 
 from __future__ import annotations
@@ -119,27 +118,15 @@ def _strang_chunks(d: PauliDecomposition, taus: np.ndarray, rs: np.ndarray):
         yield sl, _batched_power(m, rs[sl])
 
 
-def strang_unitaries(d: PauliDecomposition, taus, rs) -> np.ndarray:
-    """Dense S(tau_i/r_i)^{r_i} for every pair, shape (n, dim, dim).
+def strang_overlaps(d: PauliDecomposition, taus, rs, psi, phi) -> np.ndarray:
+    """<phi| S(tau_i/r_i)^{r_i} |psi> for every pair, shape (n,).
 
     d must have unit Pauli weight.  Each step is built from identities by
     the 2L-1 rotations cos(a) M - i sin(a) P M, applied right to left, each
     one batched row gather; the steps are then raised to their r in
-    O(log max r) stacked products, one chunk of pairs at a time.
-    """
-    taus, rs = _strang_inputs(d, taus, rs)
-    dim = 1 << d.n_qubits
-    out = np.empty((len(taus), dim, dim), dtype=complex)
-    for sl, unitaries in _strang_chunks(d, taus, rs):
-        out[sl] = unitaries
-    return out
-
-
-def strang_overlaps(d: PauliDecomposition, taus, rs, psi, phi) -> np.ndarray:
-    """<phi| S(tau_i/r_i)^{r_i} |psi> for every pair, shape (n,).
-
-    The same products as `strang_unitaries`, each chunk contracted with psi
-    and phi before the next is built, so memory stays at one chunk.
+    O(log max r) stacked products, one chunk of pairs at a time, and each
+    chunk is contracted with psi and phi before the next is built, so
+    memory stays at one chunk.
     """
     taus, rs = _strang_inputs(d, taus, rs)
     phi_conj = np.asarray(phi).conj()
@@ -155,7 +142,6 @@ def build_pf(d: PauliDecomposition, tau: float, r: int) -> PFPlan:
     Spectral error versus the exact exponential is bounded by
     f * tau^3 / r^2 with f the decomposition's commutator constant.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    dense = strang_unitaries(d, [tau], [r])[0]
-    return PFPlan(r, step_rotations(d, tau / r), 2 * r * d.L, dense)
+    taus, rs = _strang_inputs(d, [tau], [r])
+    (_, dense), = _strang_chunks(d, taus, rs)
+    return PFPlan(r, step_rotations(d, tau / r), 2 * r * d.L, dense[0])

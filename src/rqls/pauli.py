@@ -23,10 +23,6 @@ _XZ_TO_CHAR = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
 
-def _popcount(v: int) -> int:
-    return int(v).bit_count()
-
-
 def _popcount_array(v: np.ndarray) -> np.ndarray:
     """Elementwise popcount of a nonnegative integer array, as int64.
 
@@ -93,17 +89,6 @@ class PauliString:
             for i in range(self.n_qubits)
         )
 
-    @property
-    def is_identity(self) -> bool:
-        return self.x_mask == 0 and self.z_mask == 0
-
-    def commutes_with(self, other: "PauliString") -> bool:
-        """Symplectic-form commutation check (no dense matrices)."""
-        if self.n_qubits != other.n_qubits:
-            raise ValueError("mismatched qubit counts")
-        s = _popcount(self.x_mask & other.z_mask) + _popcount(self.z_mask & other.x_mask)
-        return s % 2 == 0
-
     def to_matrix(self) -> np.ndarray:
         """Dense 2^n x 2^n matrix of this string."""
         src, phase = pauli_action(self.n_qubits, self.x_mask, self.z_mask)
@@ -114,44 +99,6 @@ class PauliString:
 
     def __str__(self) -> str:
         return self.to_text()
-
-
-@dataclass(frozen=True)
-class PhasedPauli:
-    """A Pauli string with an attached fourth-root-of-unity phase."""
-
-    phase: complex
-    string: PauliString
-
-    def __post_init__(self):
-        if self.phase not in (1, -1, 1j, -1j):
-            raise ValueError("phase must be a fourth root of unity")
-
-    def to_matrix(self) -> np.ndarray:
-        return self.phase * self.string.to_matrix()
-
-
-def pauli_product(a: PhasedPauli, b: PhasedPauli) -> PhasedPauli:
-    """Product a*b with exact phase tracking.
-
-    Uses the canonical form P = i^{popcount(x&z)} X^x Z^z; the phase picked
-    up by commuting Z^{a_z} past X^{b_x} is (-1)^{popcount(a_z & b_x)}.
-    """
-    sa, sb = a.string, b.string
-    if sa.n_qubits != sb.n_qubits:
-        raise ValueError("mismatched qubit counts")
-    cx = sa.x_mask ^ sb.x_mask
-    cz = sa.z_mask ^ sb.z_mask
-    e = (
-        _popcount(sa.x_mask & sa.z_mask)
-        + _popcount(sb.x_mask & sb.z_mask)
-        - _popcount(cx & cz)
-        + 2 * _popcount(sa.z_mask & sb.x_mask)
-    ) % 4
-    # complex ** is inexact; use an exact lookup for i^e
-    phase = a.phase * b.phase * (1, 1j, -1, -1j)[e]
-    phase = {1: 1, -1: -1, 1j: 1j, -1j: -1j}[complex(round(phase.real), round(phase.imag))]
-    return PhasedPauli(phase, PauliString(sa.n_qubits, cx, cz))
 
 
 def _scan(op, v) -> np.ndarray:
@@ -165,10 +112,13 @@ def _product_exponent(x, z, bounds, extra=0):
     """Phase exponent of ordered products of canonical Pauli strings.
 
     Group g is the strings k in [bounds[g], bounds[g+1]).  Their product,
-    left to right, is i^e[g] times the canonical string of their XOR: the
-    `pauli_product` rule telescoped, e = sum_k pc(x_k & z_k) - pc(X & Z)
-    + 2 sum_k pc(Z_<k & x_k), with Z_<k the XOR of the group's z masks
-    before k.  `extra` adds a per-string exponent.  Returns (e mod 4, cx, cz)
+    left to right, is i^e[g] times the canonical string of their XOR.  For
+    two strings, P_a P_b = i^e P_{a^b} with e = pc(x_a & z_a) + pc(x_b & z_b)
+    - pc((x_a^x_b) & (z_a^z_b)) + 2 pc(z_a & x_b), the last term the sign of
+    moving Z^{z_a} past X^{x_b}; telescoped over a group this is
+    e = sum_k pc(x_k & z_k) - pc(X & Z) + 2 sum_k pc(Z_<k & x_k), with Z_<k
+    the XOR of the group's z masks before k.  `extra` adds a per-string
+    exponent.  Returns (e mod 4, cx, cz)
     with cx, cz the running XORs of x and z over all groups (`_scan`).
     """
     cx, cz = _scan(np.bitwise_xor, x), _scan(np.bitwise_xor, z)

@@ -35,6 +35,8 @@ from rqls.pauli import commutator_constant, pauli_decompose
 from rqls.randmat import gen_matrix
 from rqls.simulator import StateVector, exact_evolution
 
+from oracles import enumerate_segment
+
 TABLE1_EXPECTED = {
     (10, 1e-2): (154, 62),
     (10, 1e-3): (194, 78),
@@ -190,30 +192,6 @@ def test_criterion_4_pf_bound_and_order():
 # ---------------------------------------------------------------------------
 # 5. RTE exactness at enumeration scale
 
-def _enumerate_segment(d, model):
-    """alpha * E[phase * U] summed over every (order, Pauli draw) outcome."""
-    coeffs = np.array([c for c, _ in d.terms])
-    p_pauli = np.abs(coeffs) / np.abs(coeffs).sum()
-    mats = [p.to_matrix() for _, p in d.terms]
-    dim = mats[0].shape[0]
-    total = np.zeros((dim, dim), dtype=complex)
-    for i_n, n in enumerate(model.orders):
-        p_n = model.probabilities[i_n]
-        for idx in itertools.product(range(len(mats)), repeat=int(n) + 1):
-            prob = p_n * np.prod(p_pauli[list(idx)])
-            prefix = np.eye(dim, dtype=complex)
-            phase = (1, 1j, -1, -1j)[n % 4]
-            for l in idx[:-1]:
-                prefix = prefix @ mats[l]
-                if coeffs[l] < 0:
-                    phase = -phase
-            theta = model.thetas[i_n] * (1.0 if coeffs[idx[-1]] >= 0 else -1.0)
-            rot = math.cos(theta) * np.eye(dim) \
-                - 1j * math.sin(theta) * mats[idx[-1]]
-            total += prob * phase * (prefix @ rot)
-    return model.alpha * total
-
-
 def test_criterion_5_rte_enumeration_exactness():
     worst = 0.0
     x_mat = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -229,7 +207,7 @@ def test_criterion_5_rte_enumeration_exactness():
         assert d.L <= 3
         for r, n_max, tau in [(1, 2, 0.8), (1, 4, 1.3), (2, 2, 1.1), (2, 4, 1.9)]:
             model = segment_model(tau, r, n_max)
-            seg_mean = _enumerate_segment(d, model)
+            seg_mean = enumerate_segment(d, model)
             lcu = rte_finite_lcu(d, model)
             # independence across segments: E[U_r ... U_1] = (E[U])^r
             worst = max(worst, float(np.abs(

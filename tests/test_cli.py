@@ -319,6 +319,11 @@ def test_bad_count_is_usage_error_naming_the_option(args, option):
     # r >= t_max, with t_max from the series
     (["resources", "--kernel", "rte", "--kappa-star", "10", "--eps-t", "1e-2",
       "--eps-d", "1e-2", "--r", "2"], "'--r' / '--kappa-star' / '--lam' / '--eps-t'"),
+    # eps_T < 3 kappa_tilde for the series that solve and rmse-sweep build
+    (["solve", "--kappa", "1", "--eps-t", "100", "--n-samples", "10"],
+     "'--eps-t' / '--kappa-star' / '--kappa'"),
+    (["rmse-sweep", "--kappa", "1", "--eps-f", "1000", "--max-samples", "100",
+      "--trials", "1"], "'--eps-f' / '--kappa'"),
 ])
 def test_bound_between_options_is_usage_error_naming_them(args, options):
     result = CliRunner().invoke(main, args)

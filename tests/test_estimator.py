@@ -22,7 +22,7 @@ from rqls.fourier import build_series
 from rqls.kernel_pf import build_pf
 from rqls import kernel_rte
 from rqls.kernel_rte import sample_rte_overlaps_batch, segment_model
-from rqls.pauli import commutator_constant, pauli_decompose
+from rqls.pauli import commutator_constant, materialize, pauli_decompose
 from rqls.randmat import gen_matrix
 from rqls.sampler import DRAW_BLOCK, TimeSampler, sample_rng
 from rqls.simulator import StateVector, exact_evolution, shots
@@ -184,6 +184,16 @@ def test_overlap_tables_elementwise_bound(problem):
     taus = np.multiply.outer(grid.y_nodes, grid.z_nodes)
     rs = np.vectorize(cfg.r_for)(taus)
     assert np.all(np.abs(exact - pf) <= f * np.abs(taus) ** 3 / rs**2 + 1e-10)
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
+def test_truth_from_spectrum_matches_dense_solve(n_qubits):
+    # the spectral sum against np.linalg.solve, to 1e-14 kappa |truth|
+    for i, kappa in enumerate(np.linspace(2.0, 30.0, 15)):
+        p = make_problem(kappa=float(kappa), eps=0.1, seed=100 * n_qubits + i, n_qubits=n_qubits)
+        x = np.linalg.solve(materialize(p.decomposition), p.psi.amplitudes)
+        ref = complex(p.phi.amplitudes.conj() @ x)
+        assert abs(p.truth() - ref) <= 1e-14 * kappa * abs(ref)
 
 
 def test_exhaustive_mean_matches_series(problem):

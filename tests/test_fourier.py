@@ -13,10 +13,11 @@ from rqls.fourier import (
     build_series,
     fourier_params,
     gauss_legendre,
-    normalization,
     rescale,
     truncation_params,
 )
+
+from oracles import normalization
 
 # (kappa, eps_F) -> (J, K) for the twelve headline parameter pairs
 TABLE1 = {
@@ -285,8 +286,7 @@ def test_sum_abs_alpha_is_ny_nz(series_10):
 
 
 def test_ny_closed_form(series_10):
-    n_y, _ = normalization(series_10)
-    assert n_y == pytest.approx(series_10.trunc.y_max / SQRT_2PI, rel=1e-12)
+    assert series_10.N_y == pytest.approx(series_10.trunc.y_max / SQRT_2PI, rel=1e-12)
 
 
 def test_t_min_abs_positive(series_10):
@@ -318,9 +318,15 @@ def test_lambda_scaling():
     (2.0, 3.0, 0.1, 0.1),
 ])
 def test_z_grid_ends_at_z_max(kappa, lam, eps_t, eps_d):
+    # K is 62, 40 and 24 (even: the grid straddles z = 0) and 663 (odd: a
+    # node on z = 0); either way it runs from -z_max to z_max in K - 1 steps
     s = build_series(kappa, lam, eps_t, eps_d)
     z_max = math.sqrt(2 * math.log(3 * kappa * lam / eps_t))
     grid = s.grid
     assert grid.z_nodes[[0, -1]] == pytest.approx([-z_max, z_max], rel=1e-13)
     assert grid.delta_z == pytest.approx(2 * z_max / (grid.K - 1), rel=1e-13)
     assert np.diff(grid.z_nodes) == pytest.approx(grid.delta_z, rel=1e-9)
+    # against the series' own z_max: the ends to the rounding of one product
+    z_max = s.trunc.z_max
+    assert np.abs(grid.z_nodes[[0, -1]] - [-z_max, z_max]).max() <= 2 * np.spacing(z_max)
+    assert grid.delta_z == 2 * z_max / (grid.K - 1)

@@ -5,11 +5,7 @@ from rqls.kernel_pf import PFPlan, build_pf, step_rotations, trotter_number
 from rqls.pauli import commutator_constant, pauli_decompose
 from rqls.simulator import exact_evolution
 
-
-def random_unit_decomposition(n, rng):
-    dim = 1 << n
-    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return pauli_decompose((m + m.conj().T) / 2).rescaled()
+from oracles import random_unit_decomposition
 
 
 def test_trotter_number_values():

@@ -1,4 +1,3 @@
-import itertools
 import math
 import tracemalloc
 
@@ -26,16 +25,11 @@ from rqls.pauli import (
     PauliString,
     _popcount_array,
     pauli_action,
-    pauli_decompose,
 )
 from rqls.sampler import DRAW_BLOCK, AliasTable
 from rqls.simulator import exact_evolution
 
-
-def random_unit_decomposition(n, rng):
-    dim = 1 << n
-    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return pauli_decompose((m + m.conj().T) / 2).rescaled()
+from oracles import enumerate_segment, random_unit_decomposition
 
 
 def test_segment_model_tau_zero():
@@ -97,31 +91,6 @@ def test_segment_model_validation():
         segment_model(1.0, 0, 2)
     with pytest.raises(ValueError):
         segment_model(1.0, 1, -2)
-
-
-def enumerate_segment(d, model):
-    """Sum prob * phase * dense over every (order, Pauli choices) outcome
-    of one segment; must reproduce the finite LCU matrix."""
-    coeffs = np.array([c for c, _ in d.terms])
-    p_pauli = np.abs(coeffs) / np.abs(coeffs).sum()
-    mats = [p.to_matrix() for _, p in d.terms]
-    dim = mats[0].shape[0]
-    total = np.zeros((dim, dim), dtype=complex)
-    for i_n, n in enumerate(model.orders):
-        p_n = model.probabilities[i_n]
-        for idx in itertools.product(range(len(mats)), repeat=n + 1):
-            prob = p_n * np.prod(p_pauli[list(idx)])
-            prefix = np.eye(dim, dtype=complex)
-            phase = (1, 1j, -1, -1j)[n % 4]
-            for l in idx[:-1]:
-                prefix = prefix @ mats[l]
-                if coeffs[l] < 0:
-                    phase = -phase
-            c_rot = coeffs[idx[-1]]
-            theta = model.thetas[i_n] * (1.0 if c_rot >= 0 else -1.0)
-            rot = math.cos(theta) * np.eye(dim) - 1j * math.sin(theta) * mats[idx[-1]]
-            total += prob * phase * (prefix @ rot)
-    return model.alpha * total
 
 
 def test_segment_expectation_is_finite_lcu():

@@ -6,25 +6,14 @@ import pytest
 from rqls.pauli import (
     PauliDecomposition,
     PauliString,
-    PhasedPauli,
     commutator_constant,
     materialize,
     pauli_decompose,
-    pauli_product,
 )
 
-I2 = np.eye(2)
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-Y = np.array([[0, -1j], [1j, 0]])
-Z = np.array([[1, 0], [0, -1]], dtype=complex)
-SINGLE = {"I": I2, "X": X, "Y": Y, "Z": Z}
+from oracles import SINGLE, PhasedPauli, dense_from_text, pauli_product
 
-
-def dense_from_text(text):
-    m = SINGLE[text[0]]
-    for ch in text[1:]:
-        m = np.kron(SINGLE[ch], m)  # leftmost char is qubit 0
-    return m
+X, Z = SINGLE["X"], SINGLE["Z"]
 
 
 def random_hermitian(dim, rng):
@@ -50,7 +39,7 @@ def test_product_table():
     xy = pauli_product(x, y)
     assert xy.phase == 1j and xy.string.to_text() == "Z"
     zz = pauli_product(z, z)
-    assert zz.phase == 1 and zz.string.is_identity
+    assert zz.phase == 1 and zz.string.x_mask == zz.string.z_mask == 0
 
 
 def test_product_long_chain_vs_dense():
@@ -89,7 +78,7 @@ def test_decompose_identity():
     d = pauli_decompose(np.eye(4))
     assert d.L == 1
     c, p = d.terms[0]
-    assert c == pytest.approx(1.0) and p.is_identity
+    assert c == pytest.approx(1.0) and p.x_mask == p.z_mask == 0
 
 
 def test_decompose_sigma_x():

@@ -12,33 +12,24 @@ from hypothesis import strategies as st
 from rqls import kernel_pf
 from rqls.estimator import KernelConfig, Problem, overlap_table_pf
 from rqls.fourier import build_series
-from rqls.kernel_pf import build_pf, step_rotations, strang_unitaries
+from rqls.kernel_pf import build_pf, step_rotations, strang_overlaps
 from rqls.pauli import (
     PauliDecomposition,
     PauliString,
-    PhasedPauli,
     _popcount_array,
     _product_exponent,
     commutator_constant,
-    pauli_decompose,
-    pauli_product,
 )
 from rqls.randmat import gen_matrix
 from rqls.simulator import StateVector, exact_evolution
 
-SINGLE = {
-    "I": np.eye(2),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]]),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
-def dense_from_text(text):
-    m = SINGLE[text[0]]
-    for ch in text[1:]:
-        m = np.kron(SINGLE[ch], m)  # leftmost char is qubit 0
-    return m
+from oracles import (
+    PhasedPauli,
+    commutes,
+    dense_from_text,
+    pauli_product,
+    random_unit_decomposition,
+)
 
 
 def oracle_strang(d, tau, r):
@@ -52,10 +43,13 @@ def oracle_strang(d, tau, r):
     return np.linalg.matrix_power(step, r)
 
 
-def random_unit_decomposition(n, rng):
-    dim = 1 << n
-    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return pauli_decompose((m + m.conj().T) / 2).rescaled()
+def strang_unitaries(d, taus, rs):
+    """S(tau_i/r_i)^{r_i} per pair, shape (n, dim, dim): entry (i, j) is
+    strang_overlaps on the basis vectors e_j and e_i, which read it off
+    exactly."""
+    eye = np.eye(1 << d.n_qubits)
+    rows = [[strang_overlaps(d, taus, rs, e_j, e_i) for e_j in eye] for e_i in eye]
+    return np.moveaxis(np.array(rows), -1, 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -88,11 +82,12 @@ def test_strang_unitaries_across_chunk_boundary():
 
 def test_strang_unitaries_validation():
     d = random_unit_decomposition(1, np.random.default_rng(9))
-    assert strang_unitaries(d, [], []).shape == (0, 2, 2)
+    e0 = np.eye(2)[0]
+    assert strang_overlaps(d, [], [], e0, e0).shape == (0,)
     with pytest.raises(ValueError):
-        strang_unitaries(d, [1.0, 2.0], [3])
+        strang_overlaps(d, [1.0, 2.0], [3], e0, e0)
     with pytest.raises(ValueError):
-        strang_unitaries(d, [1.0], [0])
+        strang_overlaps(d, [1.0], [0], e0, e0)
 
 
 def test_build_pf_is_single_element_batch():
@@ -248,8 +243,8 @@ def test_commutes_with_matches_dense(n, data):
     a, b = (PauliString(n, data.draw(mask), data.draw(mask)) for _ in range(2))
     ma, mb = dense_from_text(a.to_text()), dense_from_text(b.to_text())
     # Pauli strings either commute or anticommute, exactly
-    assert np.array_equal(ma @ mb, mb @ ma) == a.commutes_with(b)
-    assert np.array_equal(ma @ mb, -(mb @ ma)) != a.commutes_with(b)
+    assert np.array_equal(ma @ mb, mb @ ma) == commutes(a, b)
+    assert np.array_equal(ma @ mb, -(mb @ ma)) != commutes(a, b)
 
 
 @st.composite

@@ -9,14 +9,10 @@ from rqls.simulator import (
     spectrum,
 )
 
+from oracles import random_unit_decomposition
+
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def random_unit_decomposition(n, rng):
-    dim = 1 << n
-    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return pauli_decompose((m + m.conj().T) / 2).rescaled()
 
 
 def test_statevector_validation():
