@@ -16,13 +16,17 @@ exp(-i theta' Q) P, with theta' = -theta when P and Q anticommute, all
 prefixes move to the left: U = P_1 R_1 ... P_r R_r = i^e T R'_1 ... R'_r,
 with T the XOR of every prefix string and R'_s flipped when Q_s
 anticommutes with P_{s+1} ... P_r.  A sample is then one gather per
-segment and one for T.
+segment and one for T.  A segment is one int64 code, twice its joint
+(order, rotation term) draw plus its flip bit; the fold reads the rotation
+string's x mask and its coefficients times tan theta' from a row of a
+table: the model's whole code table, indexed by the code, or, for a pair
+with fewer draws than codes, a row of the segment's own.
 
 One fold takes samples of different r together: sorted by r, descending,
 with their segments right-aligned, the samples that still have a segment
 at each step of the reverse sweep are a prefix of the batch, and the step
-touches only that prefix.  The draws are packed in that sweep order, one
-entry per segment, so a group's arrays hold exactly its sum of r.  The
+touches only that prefix.  The codes are packed in that sweep order, one
+entry per segment, so a group's array holds exactly its sum of r.  The
 overlap path folds the samples of many grid pairs at once, in groups whose
 sum of r is bounded by FOLD_GROUP_ENTRIES.  The fold takes state vectors
 only: `sample_rte_unitary` folds the dim identity columns as dim samples
@@ -51,9 +55,9 @@ from .sampler import DRAW_BLOCK, AliasTable
 NMAX_UNDERFLOW_CLAMP = 150
 RTE_DENSE_QUBIT_GUARD = 10
 TERM_TABLE_CACHE_SIZE = 8
-# draw entries (segments, the sum of r) of one fold group's packed rotation
-# and tangent arrays: 16 bytes each, so 4 MB for a group of several pairs;
-# a pair larger than this is a group of its own
+# draw entries (segments, the sum of r) of one fold group's packed segment
+# codes: 8 bytes each, so 2 MB for a group of several pairs; a pair larger
+# than this is a group of its own
 FOLD_GROUP_ENTRIES = 1 << 18
 
 
@@ -152,6 +156,7 @@ class RTEUnitary:
 
 @dataclass(frozen=True)
 class _TermTables:
+    n_qubits: int
     xs: np.ndarray  # x mask per term
     zs: np.ndarray  # z mask per term
     terms: AliasTable  # term index by |c_l|
@@ -179,32 +184,49 @@ def _term_tables(d: PauliDecomposition) -> _TermTables:
     coef = -1j * phase
     for a in (xs, zs, extra, q_packed, coef):
         a.flags.writeable = False
-    return _TermTables(xs, zs, terms, extra, sign_bit, q_packed, coef)
+    return _TermTables(nq, xs, zs, terms, extra, sign_bit, q_packed, coef)
 
 
-def _frames(d, model, r, n, rng):
-    """Draw n r-segment samples, in blocks, and the Pauli frame of each.
+def _code_rows(t, thetas, codes, xs, coef):
+    """Write into xs and coef the fold's rows of the given segment codes
+    under rotation angles thetas: code 2 (o n_terms + l) + f gets the x
+    mask of Q_l and the row t.coef[l] tan(+-theta_o), with the minus sign
+    where f = 1.  A row is the complex-by-float64 product that gathering
+    the action row and then scaling it by the tangent forms, so it rounds
+    the same.  t is the decomposition's `_term_tables`."""
+    tan_pm = np.multiply.outer(np.tan(thetas), (1.0, -1.0)).ravel()  # by 2 o + f
+    o, l, f = np.unravel_index(codes, (len(thetas), len(t.xs), 2))
+    t.xs.take(l, out=xs)
+    np.multiply(t.coef.take(l, axis=0), tan_pm.take(2 * o + f)[:, None], out=coef)
+
+
+def _frames(t, model, r, n, rng):
+    """Draw n r-segment samples, in blocks, and the Pauli frame of each;
+    t is the decomposition's `_term_tables`.
 
     A block holds max(1, DRAW_BLOCK // r) samples and consumes randomness
-    in two alias draws: its (order, rotation term) pairs from one joint
-    table (sample by sample, segments in order), then its prefix strings in
-    that same order.  The order and the rotation term of a segment are
-    independent, so the joint table is the outer product of their laws.
-    Yields per block (e, tx, tz, scale, tan, rot): per sample i^e, T and
-    the product of cos theta; per segment (n, r) tan theta' and rotation
-    term.
+    in two alias draws: its joint indices o n_terms + l (order o, rotation
+    term l) from one joint table (sample by sample, segments in order),
+    then its prefix strings in that same order.  The order and the rotation
+    term of a segment are independent, so the joint table is the outer
+    product of their laws; small tables indexed by the joint draw give each
+    segment's prefix length, packed rotation string and cosine.  Yields per
+    block (e, tx, tz, scale, code): per sample i^e, T and the product of
+    cos theta; per segment (n, r) the code 2 (o n_terms + l) + f of
+    `_code_rows`, f = 1 where theta' = -theta.
     """
-    nq = d.n_qubits
-    t = _term_tables(d)
+    nq = t.n_qubits
     n_terms = len(t.xs)
     joint = AliasTable(np.multiply.outer(model.probabilities,
                                          t.terms.probabilities).ravel())
-    tan_pm = np.stack([np.tan(model.thetas), -np.tan(model.thetas)], axis=1).ravel()
+    pre_len = np.repeat(model.orders, n_terms)
+    q_packed = np.tile(t.q_packed, len(model.orders))
+    cos = np.repeat(np.cos(model.thetas), n_terms)
     step = max(1, DRAW_BLOCK // r)
     for i in range(0, n, step):
         m = min(step, n - i)
-        order_idx, rot = np.divmod(joint.draw_batch(rng, m * r).reshape(m, r), n_terms)
-        cut = _scan(np.add, model.orders[order_idx].ravel())
+        code = joint.draw_batch(rng, m * r).reshape(m, r)
+        cut = _scan(np.add, pre_len.take(code).ravel())
         pre = t.terms.draw_batch(rng, int(cut[-1]))
         bounds = cut[::r]
         e, cx, cz = _product_exponent(t.xs[pre], t.zs[pre], bounds, t.extra[pre])
@@ -212,29 +234,34 @@ def _frames(d, model, r, n, rng):
         # XOR of the prefixes after each segment
         p_scan = (cz << nq) | cx
         later = (p_scan[s1] | t.sign_bit)[:, None] ^ p_scan[cut[1:].reshape(m, r)]
-        later &= t.q_packed[rot]
-        tan = tan_pm[2 * order_idx + (_popcount_array(later) & 1)]
+        later &= q_packed.take(code)
         # cos is even, so R' = cos(theta) (I - i tan(theta') Q) and the
         # cosines leave the fold as one product per sample
-        scale = np.cos(model.thetas)[order_idx].prod(axis=1)
-        yield e, cx[s1] ^ cx[s0], cz[s1] ^ cz[s0], scale, tan, rot
+        scale = cos.take(code).prod(axis=1)
+        flip = _popcount_array(later)
+        flip &= 1
+        code <<= 1
+        code |= flip
+        yield e, cx[s1] ^ cx[s0], cz[s1] ^ cz[s0], scale, code
 
 
-def _fold(d, rot, tan, r, tx, tz, scale, states) -> np.ndarray:
+def _fold(t, codes, xs, coef, r, tx, tz, scale, states) -> np.ndarray:
     """T R'_1 ... R'_{r_i} states[i] for each sample i, states of shape (n, dim).
 
-    The samples come sorted by r, descending.  rot and tan hold sum(r)
-    entries packed in sweep order: step s holds segment r_i - s of each
+    The samples come sorted by r, descending; t is the decomposition's
+    `_term_tables`.  codes holds sum(r) entries packed in sweep order, one
+    per segment, each the index of the segment's row of xs (the x mask of
+    its rotation string) and of coef (the string's action coefficients
+    times tan theta', `_code_rows`): step s holds segment r_i - s of each
     sample i with r_i > s, a prefix of the batch, so step s touches only
     that prefix of the state, and a run of steps of equal prefix length a
-    is one contiguous (steps x a) slice.  The steps' row gathers and
-    coefficients are taken in blocks of at most DRAW_BLOCK state entries,
-    each block within such a run.  Row i of P_l v reads v[i ^ x_l], so in
-    the flat state sample p's row i reads p dim + (i ^ x_l), which is
-    (p dim + i) ^ x_l as x_l < dim.
+    is one contiguous (steps x a) slice.
+    The steps' row gathers and coefficients are taken in blocks of at most
+    DRAW_BLOCK state entries, each block within such a run.  Row i of P_l v
+    reads v[i ^ x_l], so in the flat state sample p's row i reads
+    p dim + (i ^ x_l), which is (p dim + i) ^ x_l as x_l < dim.
     """
     n, dim = states.shape
-    t = _term_tables(d)
     flat = np.arange(n * dim).reshape(n, dim)  # (p dim + i) per entry
     state = np.array(states, dtype=complex).ravel()  # the samples end to end
     lo = off = 0
@@ -248,14 +275,13 @@ def _fold(d, rot, tan, r, tx, tz, scale, states) -> np.ndarray:
         head, g = state[:k], np.empty(k, dtype=complex)
         for b in range(lo, hi, per_block):
             steps = min(per_block, hi - b)
-            # flat (steps x a) term indices
-            terms = rot[off:off + steps * a]
+            # flat (steps x a) codes
+            block = codes[off:off + steps * a]
+            off += steps * a
             # the ndarray.take methods skip np.take's dispatch, which costs
             # as much as the gathers themselves on narrow steps
-            rows = flat[:a] ^ t.xs.take(terms).reshape(steps, a, 1)
-            c = t.coef.take(terms, axis=0)
-            c *= tan[off:off + steps * a].reshape(-1, 1)
-            off += steps * a
+            rows = flat[:a] ^ xs.take(block).reshape(steps, a, 1)
+            c = coef.take(block, axis=0)
             for rows_s, c_s in zip(rows.reshape(steps, k), c.reshape(steps, k)):
                 # positional: take parses keywords slowly; "wrap" leaves
                 # out unbuffered (the rows are in range)
@@ -263,7 +289,7 @@ def _fold(d, rot, tan, r, tx, tz, scale, states) -> np.ndarray:
                 g *= c_s
                 head += g
         lo = hi
-    _, t_phase = pauli_action(d.n_qubits, tx, tz)
+    _, t_phase = pauli_action(t.n_qubits, tx, tz)
     out = state.take(flat ^ tx[:, None])
     out *= t_phase * scale[:, None]
     return out
@@ -280,11 +306,14 @@ def sample_rte_unitary(
     dim samples that share the one draw."""
     if d.n_qubits > RTE_DENSE_QUBIT_GUARD:
         raise ValueError(f"n_qubits={d.n_qubits} exceeds dense guard")
-    e, tx, tz, scale, tan, rot = next(_frames(d, model, r, 1, rng))
+    t = _term_tables(d)
+    e, tx, tz, scale, code = next(_frames(t, model, r, 1, rng))
     dim = 1 << d.n_qubits
-    # a lone sample's sweep is its segments in reverse; each step holds its
-    # segment once per column
-    columns = _fold(d, np.repeat(rot[0, ::-1], dim), np.repeat(tan[0, ::-1], dim),
+    # a lone sample's sweep is its segments in reverse, each with a row of
+    # its own; each step holds its segment once per column
+    xs, coef = np.empty(r, dtype=np.int64), np.empty((r, dim), dtype=complex)
+    _code_rows(t, model.thetas, code[0, ::-1], xs, coef)
+    columns = _fold(t, np.repeat(np.arange(r), dim), xs, coef,
                     np.full(dim, r), np.repeat(tx, dim), np.repeat(tz, dim),
                     np.repeat(scale, dim), np.eye(dim, dtype=complex))
     return RTEUnitary(complex(_I_POWERS[e[0]]), r, columns.T)
@@ -358,12 +387,17 @@ def _fold_group(d, group, psi, conj_phi, rng):
     """(e, overlap) of every sample of a group of (model, r, count) pairs, in
     the group's order, from one fold of the group sorted by r.
 
-    Each pair is drawn by `_frames` in turn, and each block goes straight to
-    its slots in the packed sweep layout of `_fold`: segment c of sorted
-    sample p to start[r - 1 - c] + p, step s starting at start[s].  While
-    no sample of the group has a smaller r than the pair, every sample is
-    active in the pair's steps, so start[s] = s a for a samples and the
-    pair's slots are the strided (r x a) view of the first r a entries."""
+    Each pair owns a run of rows of the group's fold tables (`_code_rows`):
+    its whole code table, 2 n_terms rows per order, when it has at least as
+    many draws as codes, so that its codes index the run; else one row per
+    draw, so that the tables never hold more rows than the group has draws.
+    Each pair is drawn by `_frames` in turn, and each block's row indices go
+    straight to their slots in the packed sweep layout of `_fold`: segment
+    c of sorted sample p to start[r - 1 - c] + p, step s starting at
+    start[s].  While no sample of the group has a smaller r than the pair,
+    every sample is active in the pair's steps, so start[s] = s a for a
+    samples and the pair's slots are the strided (r x a) view of the first
+    r a entries."""
     rs = np.array([r for _, r, _ in group])
     counts = np.array([count for *_, count in group])
     r_sample = np.repeat(rs, counts)
@@ -374,27 +408,37 @@ def _fold_group(d, group, psi, conj_phi, rng):
     # step s holds one entry per sample of r > s
     active = np.cumsum(np.bincount(r_sample)[:0:-1])[::-1]
     start = _scan(np.add, active)
-    rot = np.empty(start[-1], dtype=np.int64)
-    tan = np.empty(start[-1])
+    t = _term_tables(d)  # once: a decomposition hashes term by term
+    n_codes = 2 * len(t.xs) * np.array([len(m.orders) for m, *_ in group])
+    whole = n_codes <= rs * counts
+    n_rows = np.where(whole, n_codes, rs * counts).sum()
+    xs, coef = np.empty(n_rows, dtype=np.int64), np.empty((n_rows, len(psi)), dtype=complex)
+    codes = np.empty(start[-1], dtype=np.int64)
     e, tx, tz = (np.empty(len(order), dtype=np.int64) for _ in range(3))
     scale = np.empty(len(order))
     a = len(order)
-    i = 0  # the group's samples in draw order; a block's are consecutive
-    for model, r, count in group:
+    i = row = 0  # the group's samples in draw order; a block's are consecutive
+    for (model, r, count), n, w in zip(group, n_codes.tolist(), whole.tolist()):
         dest = None
         strided = r == rs.min()
-        for e_b, tx_b, tz_b, scale_b, tan_b, rot_b in _frames(d, model, r, count, rng):
+        if w:
+            base, row = row, row + n
+            _code_rows(t, model.thetas, np.arange(n), xs[base:row], coef[base:row])
+        for e_b, tx_b, tz_b, scale_b, code_b in _frames(t, model, r, count, rng):
             p, m = col[i], len(e_b)
             e[p:p + m], tx[p:p + m], tz[p:p + m], scale[p:p + m] = e_b, tx_b, tz_b, scale_b
+            if not w:  # the block's draws get rows of their own, in draw order
+                base, row = row, row + code_b.size
+                _code_rows(t, model.thetas, code_b.ravel(), xs[base:row], coef[base:row])
+                code_b = np.arange(code_b.size).reshape(m, r)
             if strided:
-                rot[:r * a].reshape(r, a)[:, p:p + m] = rot_b[:, ::-1].T
-                tan[:r * a].reshape(r, a)[:, p:p + m] = tan_b[:, ::-1].T
+                np.add(code_b[:, ::-1].T, base, out=codes[:r * a].reshape(r, a)[:, p:p + m])
             else:
                 if dest is None:  # slots of the pair's first block, the largest
                     dest = np.add.outer(np.arange(m), start[r - 1::-1])
-                rot[p:][dest[:m]], tan[p:][dest[:m]] = rot_b, tan_b
+                codes[p:][dest[:m]] = code_b + base
             i += m
-    out = _fold(d, rot, tan, r_sample[order], tx, tz, scale,
+    out = _fold(t, codes, xs, coef, r_sample[order], tx, tz, scale,
                 np.broadcast_to(psi, (len(order), len(psi))))
     # an elementwise product summed along each row rounds the same in any
     # batch, so a sample's overlap does not depend on its group

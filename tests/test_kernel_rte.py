@@ -393,6 +393,32 @@ def test_unitary_is_ordered_product_of_drawn_terms(d, tau, r, n_max, seed):
     assert np.abs(u.phase * u.dense_unitary - product).max() < 1e-12
 
 
+@pytest.mark.parametrize("n_qubits", [1, 2, 3, 4])
+@pytest.mark.parametrize("tau, r, n_max", [(1.5, 3, 20), (-20.0, 100, 20), (-0.7, 1, 6)])
+def test_code_table_rows_are_two_step_products(n_qubits, tau, r, n_max):
+    # the whole code table of a model: row 2 (o n_terms + l) + f is exactly
+    # the action row of term l gathered and then scaled in place by
+    # tan(+-theta_o), as a fold step would form it from a term and a
+    # tangent: same operands, same rounding
+    d = random_unit_decomposition(n_qubits, np.random.default_rng(60 + n_qubits))
+    assert min(c for c, _ in d.terms) < 0
+    model = segment_model(tau, r, n_max)
+    t = kernel_rte._term_tables(d)
+    n_orders, n_terms = len(model.orders), len(t.xs)
+    n_codes = 2 * n_orders * n_terms
+    xs, coef = np.empty(n_codes, dtype=np.int64), np.empty((n_codes, 1 << n_qubits), dtype=complex)
+    kernel_rte._code_rows(t, model.thetas, np.arange(n_codes), xs, coef)
+    tan_pm = np.stack([np.tan(model.thetas), -np.tan(model.thetas)], axis=1).ravel()
+    for o in range(n_orders):
+        for l in range(n_terms):
+            for f in (0, 1):
+                code = 2 * (o * n_terms + l) + f
+                c = t.coef.take([l], axis=0)
+                c *= tan_pm[[2 * o + f]].reshape(-1, 1)
+                assert (coef[code] == c[0]).all(), (o, l, f)
+                assert xs[code] == t.xs[l]
+
+
 # ---------------------------------------------------------------------------
 # fold groups: pairs of (model, r, count) folded together
 
@@ -446,7 +472,7 @@ def test_fold_group_memory_is_its_draws():
     psi = np.array([1, 0], dtype=complex)
     pairs = [(segment_model(2.0, 1000, 6), 1000, 1), (segment_model(0.5, 1, 6), 1, 200)]
     kernel_rte._frame_overlaps(d, pairs, psi, psi, np.random.default_rng(0))  # warm caches
-    rectangle_bytes = 1000 * 201 * 16  # int64 terms and float64 tangents
+    rectangle_bytes = 1000 * 201 * 8  # one int64 segment code per draw
     tracemalloc.start()
     try:
         kernel_rte._frame_overlaps(d, pairs, psi, psi, np.random.default_rng(0))
