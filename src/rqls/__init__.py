@@ -32,7 +32,7 @@ from .fourier import (
     rescale,
     truncation_params,
 )
-from .kernel_pf import PFPlan, build_pf, step_rotations, trotter_number
+from .kernel_pf import PFPlan, build_pf, trotter_number
 from .kernel_rte import (
     RTEInfeasibleError,
     RTESegmentModel,

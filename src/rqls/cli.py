@@ -2,8 +2,8 @@
 verification, resource reports, end-to-end solves, and RMSE sweeps.
 
 Reports are JSON, curves are CSV.  Every output carries the echoed
-configuration, the master seed, and the package version so a run can be
-reproduced from its artifact alone.
+configuration (the command and its parsed options), the master seed, and
+the package version so a run can be reproduced from its artifact alone.
 """
 
 from __future__ import annotations
@@ -48,7 +48,12 @@ POSITIVE_REAL = click.FloatRange(min=0, min_open=True)  # accuracy budgets
 OPEN_UNIT = click.FloatRange(0, 1, min_open=True, max_open=True)  # delta
 
 
-def _manifest(config: dict, seed: int) -> dict:
+def _manifest(seed: int = 0, **results) -> dict:
+    """The run's manifest: as config, the command's name and its parsed
+    options (less seed and out), with results added."""
+    ctx = click.get_current_context()
+    options = {k: v for k, v in ctx.params.items() if k not in ("seed", "out")}
+    config = {"command": ctx.info_name, **options, **results}
     return {"config": config, "master_seed": seed, "version": __version__}
 
 
@@ -89,6 +94,19 @@ def _bounded(options, fn, *args):
 SERIES_OPTIONS = ["--eps-t", "--eps-d", "--kappa-star", "--lam"]
 
 
+def _series_options(command):
+    """The options that define a series: --kappa-star, --lam, --eps-t and
+    --eps-d, in that order."""
+    for option in reversed([
+        click.option("--kappa-star", required=True, type=AT_LEAST_ONE_REAL),
+        click.option("--lam", default=1.0, show_default=True, type=AT_LEAST_ONE_REAL),
+        click.option("--eps-t", required=True, type=POSITIVE_REAL),
+        click.option("--eps-d", required=True, type=POSITIVE_REAL),
+    ]):
+        command = option(command)
+    return command
+
+
 @click.group()
 def main():
     """Randomized quantum linear systems solver toolkit."""
@@ -103,26 +121,20 @@ def gen_matrix_cmd(n_qubits, kappa, seed, out):
     """Random Hermitian matrix with condition number exactly kappa."""
     rng = sample_rng(seed, 0)
     art = gen_matrix(n_qubits, kappa, rng)
-    config = {"command": "gen-matrix", "n_qubits": n_qubits, "kappa": kappa}
-    payload = _manifest(config, seed)
+    payload = _manifest(seed)
     payload["artifact"] = art.to_json()
     _write_json(out, payload)
 
 
 @main.command("params")
-@click.option("--kappa-star", required=True, type=AT_LEAST_ONE_REAL)
-@click.option("--lam", default=1.0, show_default=True, type=AT_LEAST_ONE_REAL)
-@click.option("--eps-t", required=True, type=POSITIVE_REAL)
-@click.option("--eps-d", required=True, type=POSITIVE_REAL)
+@_series_options
 @click.option("--out", default=None, type=click.Path())
 def params_cmd(kappa_star, lam, eps_t, eps_d, out):
     """Truncation bounds and grid sizes for the inverse-function series."""
     kt = rescale(kappa_star, lam)
     trunc = _bounded(["--eps-t", "--kappa-star", "--lam"], truncation_params, kt, eps_t)
     big_j, big_k = fourier_params(kt, eps_t, eps_d, trunc)
-    config = {"command": "params", "kappa_star": kappa_star, "lam": lam,
-              "eps_t": eps_t, "eps_d": eps_d}
-    payload = _manifest(config, 0)
+    payload = _manifest()
     payload["params"] = {
         "kappa_tilde": kt, "y_max": trunc.y_max, "z_max": trunc.z_max,
         "t_max": trunc.t_max, "J": big_j, "K": big_k, "n_terms": big_j * big_k,
@@ -131,17 +143,12 @@ def params_cmd(kappa_star, lam, eps_t, eps_d, out):
 
 
 @main.command("build-series")
-@click.option("--kappa-star", required=True, type=AT_LEAST_ONE_REAL)
-@click.option("--lam", default=1.0, show_default=True, type=AT_LEAST_ONE_REAL)
-@click.option("--eps-t", required=True, type=POSITIVE_REAL)
-@click.option("--eps-d", required=True, type=POSITIVE_REAL)
+@_series_options
 @click.option("--out", default=None, type=click.Path())
 def build_series_cmd(kappa_star, lam, eps_t, eps_d, out):
     """Build the series and report its normalization constants."""
     series = _bounded(SERIES_OPTIONS, build_series, kappa_star, lam, eps_t, eps_d)
-    config = {"command": "build-series", "kappa_star": kappa_star, "lam": lam,
-              "eps_t": eps_t, "eps_d": eps_d}
-    payload = _manifest(config, 0)
+    payload = _manifest()
     payload["series"] = {
         "J": series.grid.J, "K": series.grid.K, "n_terms": series.n_terms,
         "kappa_tilde": series.kappa_tilde,
@@ -157,10 +164,7 @@ def build_series_cmd(kappa_star, lam, eps_t, eps_d, out):
 
 
 @main.command("verify-series")
-@click.option("--kappa-star", required=True, type=AT_LEAST_ONE_REAL)
-@click.option("--lam", default=1.0, show_default=True, type=AT_LEAST_ONE_REAL)
-@click.option("--eps-t", required=True, type=POSITIVE_REAL)
-@click.option("--eps-d", required=True, type=POSITIVE_REAL)
+@_series_options
 @click.option("--trials", default=20, show_default=True, type=AT_LEAST_ONE)
 @click.option("--seed", default=0, show_default=True, type=NONNEGATIVE)
 @click.option("--out", default=None, type=click.Path())
@@ -174,14 +178,11 @@ def verify_series_cmd(kappa_star, lam, eps_t, eps_d, trials, seed, out):
     )
     vals = series.evaluate(xs)
     errs = np.abs(1.0 / xs - vals)
-    config = {"command": "verify-series", "kappa_star": kappa_star,
-              "lam": lam, "eps_t": eps_t, "eps_d": eps_d, "trials": trials,
-              "eps_max": float(errs.max()), "budget": eps_t + eps_d}
     rows = [
         [x, v.real, v.imag, e] for x, v, e in zip(xs, vals, errs)
     ]
-    _write_csv(out, _manifest(config, seed),
-               ["x", "series_re", "series_im", "abs_error"], rows)
+    manifest = _manifest(seed, eps_max=float(errs.max()), budget=eps_t + eps_d)
+    _write_csv(out, manifest, ["x", "series_re", "series_im", "abs_error"], rows)
 
 
 @main.command("table1")
@@ -194,58 +195,50 @@ def verify_series_cmd(kappa_star, lam, eps_t, eps_d, trials, seed, out):
 def table1_cmd(trials, heavy, seed, out):
     """Grid sizes (J, K) for the twelve (kappa, eps_F) pairs."""
     rows = table1_rows(trials=trials, heavy=heavy, master_seed=seed)
-    config = {"command": "table1", "trials": trials, "heavy": heavy}
     header = ["kappa", "eps_f", "J", "K", "t_max", "eps_max"]
-    _write_csv(out, _manifest(config, seed), header,
+    _write_csv(out, _manifest(seed), header,
                [[r["kappa"], r["eps_f"], r["J"], r["K"], r["t_max"],
                  r.get("eps_max", "")] for r in rows])
 
 
 @main.command("resources")
 @click.option("--kernel", type=click.Choice(["pf", "rte"]), required=True)
-@click.option("--kappa-star", required=True, type=AT_LEAST_ONE_REAL)
-@click.option("--lam", default=1.0, show_default=True, type=AT_LEAST_ONE_REAL)
-@click.option("--eps-t", required=True, type=POSITIVE_REAL)
-@click.option("--eps-d", required=True, type=POSITIVE_REAL)
+@_series_options
 @click.option("--eps", default=0.1, show_default=True, type=POSITIVE_REAL)
 @click.option("--delta", default=0.01, show_default=True, type=OPEN_UNIT)
-@click.option("--f", "f_const", default=None, type=NONNEGATIVE_REAL,
+@click.option("--f", default=None, type=NONNEGATIVE_REAL,
               help="Commutator constant (PF); required for --kernel pf.")
 @click.option("--big-l", default=None, type=AT_LEAST_ONE,
               help="Number of Pauli terms (PF gate accounting).")
-@click.option("--r", "r_seg", default=None, type=AT_LEAST_ONE,
+@click.option("--r", default=None, type=AT_LEAST_ONE,
               help="RTE segment count; default ceil(t_max).")
 @click.option("--out", default=None, type=click.Path())
 def resources_cmd(kernel, kappa_star, lam, eps_t, eps_d, eps, delta,
-                  f_const, big_l, r_seg, out):
+                  f, big_l, r, out):
     """Certified sample and gate counts for a kernel at a target accuracy."""
     series = _bounded(SERIES_OPTIONS, build_series, kappa_star, lam, eps_t, eps_d)
     if kernel == "pf":
-        if f_const is None or big_l is None:
+        if f is None or big_l is None:
             raise click.UsageError("--kernel pf needs --f and --big-l")
         est = pf_resources(eps, delta, series.N_y, series.N_z, series.lam,
-                           f_const, series.t_max, big_l)
+                           f, series.t_max, big_l)
     else:
-        r = r_seg if r_seg is not None else math.ceil(series.t_max)
         est = _bounded(["--r", "--kappa-star", "--lam", "--eps-t"], rte_resources,
                        eps, delta, series.N_y, series.N_z, series.lam,
-                       series.t_max, series.t_min_abs, r)
-    config = {"command": "resources", "kernel": kernel,
-              "kappa_star": kappa_star, "lam": lam, "eps_t": eps_t,
-              "eps_d": eps_d, "eps": eps, "delta": delta, "f": f_const,
-              "big_l": big_l, "r": r_seg}
-    payload = _manifest(config, 0)
+                       series.t_max, series.t_min_abs,
+                       r if r is not None else math.ceil(series.t_max))
+    payload = _manifest()
     payload["series"] = {"t_max": series.t_max, "t_min_abs": series.t_min_abs,
                          "N_y": series.N_y, "N_z": series.N_z}
     payload["estimate"] = est.to_json()
     _write_json(out, payload)
 
 
-def _load_problem(options, matrix_path, n_qubits, kappa, seed, eps_t, eps_d, kappa_star):
+def _load_problem(options, matrix, n_qubits, kappa, seed, eps_t, eps_d, kappa_star):
     """The problem of `solve` and `rmse-sweep`; options name the command's
     options behind the series' bounds, for `_bounded`."""
-    if matrix_path:
-        with open(matrix_path) as fh:
+    if matrix:
+        with open(matrix) as fh:
             art = json.load(fh)
         d = PauliDecomposition.from_json(art["artifact"]["decomposition"])
         kappa_eff = art["artifact"]["kappa"]
@@ -261,7 +254,7 @@ def _load_problem(options, matrix_path, n_qubits, kappa, seed, eps_t, eps_d, kap
 
 
 @main.command("solve")
-@click.option("--matrix", "matrix_path", default=None, type=click.Path(exists=True),
+@click.option("--matrix", default=None, type=click.Path(exists=True),
               help="gen-matrix artifact; otherwise a matrix is generated.")
 @click.option("--n-qubits", default=2, show_default=True, type=AT_LEAST_ONE)
 @click.option("--kappa", default=10.0, show_default=True, type=AT_LEAST_ONE_REAL)
@@ -270,7 +263,7 @@ def _load_problem(options, matrix_path, n_qubits, kappa, seed, eps_t, eps_d, kap
 @click.option("--eps-d", default=1e-2, show_default=True, type=POSITIVE_REAL)
 @click.option("--kernel", type=click.Choice(["exact", "pf", "rte"]),
               default="exact", show_default=True)
-@click.option("--r", "r_fixed", default=0, show_default=True, type=NONNEGATIVE,
+@click.option("--r", default=0, show_default=True, type=NONNEGATIVE,
               help="Fixed per-sample segment/step count.")
 @click.option("--r-quad", default=0.0, show_default=True, type=NONNEGATIVE_REAL,
               help="Quadratic policy coefficient: r = ceil(c tau^2).")
@@ -283,17 +276,16 @@ def _load_problem(options, matrix_path, n_qubits, kappa, seed, eps_t, eps_d, kap
               default="bernoulli", show_default=True)
 @click.option("--seed", default=0, show_default=True, type=NONNEGATIVE)
 @click.option("--out", default=None, type=click.Path())
-def solve_cmd(matrix_path, n_qubits, kappa, kappa_star, eps_t, eps_d,
-              kernel, r_fixed, r_quad, eps_pf, n_max, n_samples, noise, seed,
-              out):
+def solve_cmd(matrix, n_qubits, kappa, kappa_star, eps_t, eps_d,
+              kernel, r, r_quad, eps_pf, n_max, n_samples, noise, seed, out):
     """End-to-end Monte Carlo estimate of <phi|A^{-1}|psi>."""
-    problem = _load_problem(["--eps-t", "--kappa-star", "--kappa"], matrix_path,
+    problem = _load_problem(["--eps-t", "--kappa-star", "--kappa"], matrix,
                             n_qubits, kappa, seed, eps_t, eps_d, kappa_star)
     f = 0.0
     if eps_pf > 0:
         f = commutator_constant(problem.unit_decomposition, loose=True)
     try:
-        cfg = KernelConfig(kernel, r_fixed=r_fixed, r_quadratic=r_quad,
+        cfg = KernelConfig(kernel, r_fixed=r, r_quadratic=r_quad,
                            f=f, eps_pf=eps_pf, n_max=n_max)
     except ValueError as exc:
         raise click.UsageError(
@@ -313,12 +305,7 @@ def solve_cmd(matrix_path, n_qubits, kappa, kappa_star, eps_t, eps_d,
             "kappa_star is below the condition number of A, so the estimate "
             "is not certified", err=True,
         )
-    config = {"command": "solve", "matrix": matrix_path, "n_qubits": n_qubits,
-              "kappa": kappa, "kappa_star": kappa_star, "eps_t": eps_t,
-              "eps_d": eps_d, "kernel": kernel, "r": r_fixed,
-              "r_quad": r_quad, "eps_pf": eps_pf, "n_max": n_max,
-              "n_samples": n_samples, "noise": noise}
-    payload = _manifest(config, seed)
+    payload = _manifest(seed)
     payload["report"] = report.to_json()
     payload["report"]["diagnostics"].pop("records", None)
     _write_json(out, payload)
@@ -342,15 +329,12 @@ def rmse_sweep_cmd(kappa, eps_f, fixed_r, max_samples, trials, noise,
     schedule = log_schedule(100, max_samples)
     results = rmse_sweep(problem, sweep_policies(fixed_r), schedule, trials,
                          noise, seed)
-    config = {"command": "rmse-sweep", "kappa": kappa, "eps_f": eps_f,
-              "fixed_r": fixed_r, "max_samples": max_samples,
-              "trials": trials, "noise": noise}
     rows = [
         [name, n, r]
         for name, curve in sorted(results.items())
         for n, r in zip(curve["n_s"], curve["rmse"])
     ]
-    _write_csv(out, _manifest(config, seed), ["policy", "n_s", "rmse"], rows)
+    _write_csv(out, _manifest(seed), ["policy", "n_s", "rmse"], rows)
 
 
 def _parse_taus(ctx, param, value):
@@ -362,32 +346,29 @@ def _parse_taus(ctx, param, value):
 
 @main.command("rte-single")
 @click.option("--taus", default="1,20,50,80", show_default=True, callback=_parse_taus)
-@click.option("--r", "r_seg", default=100, show_default=True, type=AT_LEAST_ONE)
+@click.option("--r", default=100, show_default=True, type=AT_LEAST_ONE)
 @click.option("--n-max", default=20, show_default=True, type=NONNEGATIVE)
 @click.option("--max-samples", default=10**5, show_default=True, type=click.IntRange(min=100))
 @click.option("--trials", default=20, show_default=True, type=AT_LEAST_ONE)
 @click.option("--kappa", default=10.0, show_default=True, type=AT_LEAST_ONE_REAL)
 @click.option("--seed", default=0, show_default=True, type=NONNEGATIVE)
 @click.option("--out", default=None, type=click.Path())
-def rte_single_cmd(taus, r_seg, n_max, max_samples, trials, kappa, seed, out):
+def rte_single_cmd(taus, r, n_max, max_samples, trials, kappa, seed, out):
     """RMSE of the RTE estimator of a single evolved overlap per tau."""
     rng = sample_rng(seed, 0)
     d_unit = gen_matrix(2, kappa, rng).decomposition.rescaled()
     schedule = log_schedule(100, max_samples)
     try:
-        results = rte_single(d_unit, taus, r_seg, schedule, trials, seed,
+        results = rte_single(d_unit, taus, r, schedule, trials, seed,
                              n_max=n_max)
     except RTEWeightOverflowError as exc:
         raise click.ClickException(f"{exc}; a larger --r keeps it finite") from exc
-    config = {"command": "rte-single", "taus": taus, "r": r_seg,
-              "n_max": n_max, "max_samples": max_samples, "trials": trials,
-              "kappa": kappa}
     rows = [
         [tau, n, rmse]
         for tau, curve in results.items()
         for n, rmse in zip(curve["n_s"], curve["rmse"])
     ]
-    _write_csv(out, _manifest(config, seed), ["tau", "n_s", "rmse"], rows)
+    _write_csv(out, _manifest(seed), ["tau", "n_s", "rmse"], rows)
 
 
 if __name__ == "__main__":

@@ -25,14 +25,9 @@ from .kernel_rte import (
     rte_bias_bound,
     segment_model,
 )
-from .pauli import _I_POWERS, PauliDecomposition
+from .pauli import _I_POWERS, STATEVECTOR_QUBIT_GUARD, PauliDecomposition
 from .sampler import DRAW_BLOCK, TimeSampler, sample_rng
-from .simulator import (
-    EXACT_EVOLUTION_QUBIT_GUARD,
-    StateVector,
-    shots,
-    spectrum,
-)
+from .simulator import StateVector, shots, spectrum
 
 DESK_SCALE_LIMIT = 1e15
 PF_R_CAP = 10**9
@@ -167,19 +162,9 @@ class SolveReport:
     diagnostics: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "estimate": [self.estimate.real, self.estimate.imag],
-            "n_samples": self.n_samples,
-            "master_seed": self.master_seed,
-            "kernel": self.kernel,
-            "noise_mode": self.noise_mode,
-            "truth": None
-            if self.truth is None
-            else [self.truth.real, self.truth.imag],
-            "abs_error": self.abs_error,
-            "wall_time": self.wall_time,
-            "diagnostics": self.diagnostics,
-        }
+        """The fields, each complex value as [re, im]."""
+        return {k: [v.real, v.imag] if isinstance(v, complex) else v
+                for k, v in asdict(self).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +285,7 @@ def _spectral_weights(problem: Problem):
     """(x_i, (phi^* v_i)(v_i^* psi)) over the cached spectrum (x_i, v_i) of
     A/lam."""
     d = problem.unit_decomposition
-    if d.n_qubits > EXACT_EVOLUTION_QUBIT_GUARD:
+    if d.n_qubits > STATEVECTOR_QUBIT_GUARD:
         raise ValueError(f"n_qubits={d.n_qubits} exceeds dense guard")
     evals, evecs = spectrum(d)
     w = (problem.phi.amplitudes.conj() @ evecs) * (
@@ -319,7 +304,7 @@ def certify_spectrum(problem: Problem) -> bool | None:
     """Whether every eigenvalue of A/lam has 1/kappa_tilde <= |x| <= 1, the
     domain on which the series inverts x; None above the dense guard."""
     d = problem.unit_decomposition
-    if d.n_qubits > EXACT_EVOLUTION_QUBIT_GUARD:
+    if d.n_qubits > STATEVECTOR_QUBIT_GUARD:
         return None
     mags = np.abs(spectrum(d)[0])
     kt = problem.series.kappa_tilde
@@ -344,7 +329,7 @@ def _sample_overlaps(problem, config, taus, rs, at, rng):
               for tau, r in zip(taus.tolist(), rs.tolist())]
     counts = np.bincount(at)
     alpha_r = np.array([model.alpha_power_r for model in models])
-    e, raw = _frame_overlaps(d, zip(models, rs.tolist(), counts.tolist()), psi, phi, rng)
+    e, raw = _frame_overlaps(d, zip(models, counts.tolist()), psi, phi, rng)
     # raw comes pair by pair, each pair's samples in chunk order
     v, extra = np.empty((2, len(at)), dtype=complex)
     by_pair = np.argsort(at, kind="stable")
@@ -420,9 +405,9 @@ def run_solver(
     imaginary parts.  Overlaps are computed once per distinct pair of the
     chunk, in one batched call (exact, pf); rte folds the samples of all
     the chunk's pairs together, sorted by r, in groups of consecutive pairs
-    whose segment count (sum of r) is bounded by
-    `kernel_rte.FOLD_GROUP_ENTRIES`, with the same results as one fold per
-    pair.  truth and abs_error come from the dense spectrum up to 10 qubits.
+    whose tables are bounded in bytes by `kernel_rte.FOLD_GROUP_BYTES`,
+    with the same results as one fold per pair.  truth and abs_error come
+    from the dense spectrum up to 10 qubits.
 
     diagnostics: "kernel_cache_size", the number of distinct grid pairs
     evaluated (summed over chunks); "certified", whether the spectrum of
@@ -460,7 +445,7 @@ def run_solver(
             ))
     estimate = complex(math.fsum(sums_re) / n_s, math.fsum(sums_im) / n_s)
     truth = abs_error = None
-    if problem.decomposition.n_qubits <= EXACT_EVOLUTION_QUBIT_GUARD:
+    if problem.decomposition.n_qubits <= STATEVECTOR_QUBIT_GUARD:
         truth = problem.truth()
         abs_error = abs(estimate - truth)
     diagnostics = {"kernel_cache_size": n_pairs,

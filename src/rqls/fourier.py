@@ -284,9 +284,16 @@ def _sine_sums(xy: np.ndarray, amp: np.ndarray, z0: float, dz: float) -> np.ndar
     tail through the same vector code, so an entry's value does not depend
     on where it sits in a block of two or more entries; a one-entry array
     takes a scalar loop that rounds differently, and no block is that short.
+
+    acc starts on a 64-byte boundary.  numpy allocates on 16-byte ones, and
+    an acc at 16 bytes past a 32-byte one made the loop 10-30% slower in
+    timings on x86-64, because its vector stores straddled cache lines.
     """
     w = np.exp(1j * (xy * dz))
-    acc = np.full(xy.shape, amp[-1], dtype=complex)
+    raw = np.empty(16 * len(xy) + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    acc = raw[start:start + 16 * len(xy)].view(complex)
+    acc[:] = amp[-1]
     for a in amp[-2::-1].tolist():
         acc *= w
         acc += a

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliDecomposition
+from .pauli import STATEVECTOR_QUBIT_GUARD, PauliDecomposition
 
-PF_DENSE_QUBIT_GUARD = 10
 # entries (steps plus rotation coefficients) of one batch held at a time
 STRANG_CHUNK_ENTRIES = 1 << 20
 
@@ -42,25 +41,17 @@ def trotter_number(f: float, tau, eps_pf: float):
 @dataclass(frozen=True)
 class PFPlan:
     r: int
-    rotation_sequence: tuple  # ((PauliString, angle), ...) for one step
     n_cp_per_sample: int
     dense_unitary: np.ndarray
 
 
 def _step_order(big_l: int):
-    """(term index, angle fraction of c_l dt) for the 2L-1 merged rotations."""
+    """(term index, angle fraction of c_l dt) for the 2L-1 merged rotations
+    of one step, in sweep order."""
     half = list(range(big_l - 1))
     terms = half + [big_l - 1] + half[::-1]
     fractions = [0.5] * (big_l - 1) + [1.0] + [0.5] * (big_l - 1)
     return terms, fractions
-
-
-def step_rotations(d: PauliDecomposition, dt: float):
-    """Merged Strang rotation list for one step of length dt (unit weight d)."""
-    terms, fractions = _step_order(d.L)
-    return tuple(
-        (d.terms[l][1], d.terms[l][0] * w * dt) for l, w in zip(terms, fractions)
-    )
 
 
 def _batched_power(m: np.ndarray, rs: np.ndarray) -> np.ndarray:
@@ -88,7 +79,7 @@ def _strang_inputs(d: PauliDecomposition, taus, rs):
         raise ValueError("taus and rs must be 1-D arrays of one length")
     if np.any(rs < 1):
         raise ValueError("r must be >= 1")
-    if d.n_qubits > PF_DENSE_QUBIT_GUARD:
+    if d.n_qubits > STATEVECTOR_QUBIT_GUARD:
         raise ValueError(f"n_qubits={d.n_qubits} exceeds dense guard")
     return taus, rs
 
@@ -104,7 +95,7 @@ def _strang_chunks(d: PauliDecomposition, taus: np.ndarray, rs: np.ndarray):
     src, phase = d.action_tables()
     phase = phase[:, :, None]
     terms, fractions = _step_order(d.L)
-    # angle per (rotation, element) is (c_l w) dt, as in step_rotations
+    # angle per (rotation, element) is (c_l w) dt
     scaled = np.array([d.terms[l][0] * w for l, w in zip(terms, fractions)])
     chunk = max(1, STRANG_CHUNK_ENTRIES // (dim * dim + 2 * len(terms)))
     for start in range(0, len(taus), chunk):
@@ -144,4 +135,4 @@ def build_pf(d: PauliDecomposition, tau: float, r: int) -> PFPlan:
     """
     taus, rs = _strang_inputs(d, [tau], [r])
     (_, dense), = _strang_chunks(d, taus, rs)
-    return PFPlan(r, step_rotations(d, tau / r), 2 * r * d.L, dense[0])
+    return PFPlan(r, 2 * r * d.L, dense[0])

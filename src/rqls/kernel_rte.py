@@ -28,9 +28,9 @@ at each step of the reverse sweep are a prefix of the batch, and the step
 touches only that prefix.  The codes are packed in that sweep order, one
 entry per segment, so a group's array holds exactly its sum of r.  The
 overlap path folds the samples of many grid pairs at once, in groups whose
-sum of r is bounded by FOLD_GROUP_ENTRIES.  The fold takes state vectors
-only: `sample_rte_unitary` folds the dim identity columns as dim samples
-that share its one draw.
+codes and table rows stay within FOLD_GROUP_BYTES.  The fold takes state
+vectors only: `sample_rte_unitary` folds the dim identity columns as dim
+samples that share its one draw.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ import numpy as np
 
 from .pauli import (
     _I_POWERS,
+    STATEVECTOR_QUBIT_GUARD,
     PauliDecomposition,
     _popcount_array,
     _product_exponent,
@@ -53,12 +54,10 @@ from .pauli import (
 from .sampler import DRAW_BLOCK, AliasTable
 
 NMAX_UNDERFLOW_CLAMP = 150
-RTE_DENSE_QUBIT_GUARD = 10
 TERM_TABLE_CACHE_SIZE = 8
-# draw entries (segments, the sum of r) of one fold group's packed segment
-# codes: 8 bytes each, so 2 MB for a group of several pairs; a pair larger
-# than this is a group of its own
-FOLD_GROUP_ENTRIES = 1 << 18
+# bytes of one fold group's tables: an 8-byte code per draw and 16 dim bytes
+# per table row (`_fold_group`); a pair larger than this is a group of its own
+FOLD_GROUP_BYTES = 1 << 21
 
 
 class RTEInfeasibleError(ValueError):
@@ -200,9 +199,9 @@ def _code_rows(t, thetas, codes, xs, coef):
     np.multiply(t.coef.take(l, axis=0), tan_pm.take(2 * o + f)[:, None], out=coef)
 
 
-def _frames(t, model, r, n, rng):
-    """Draw n r-segment samples, in blocks, and the Pauli frame of each;
-    t is the decomposition's `_term_tables`.
+def _frames(t, model, n, rng):
+    """Draw n samples of model.r segments, in blocks, and the Pauli frame of
+    each; t is the decomposition's `_term_tables`.
 
     A block holds max(1, DRAW_BLOCK // r) samples and consumes randomness
     in two alias draws: its joint indices o n_terms + l (order o, rotation
@@ -222,6 +221,7 @@ def _frames(t, model, r, n, rng):
     pre_len = np.repeat(model.orders, n_terms)
     q_packed = np.tile(t.q_packed, len(model.orders))
     cos = np.repeat(np.cos(model.thetas), n_terms)
+    r = model.r
     step = max(1, DRAW_BLOCK // r)
     for i in range(0, n, step):
         m = min(step, n - i)
@@ -295,6 +295,11 @@ def _fold(t, codes, xs, coef, r, tx, tz, scale, states) -> np.ndarray:
     return out
 
 
+def _check_r(model: RTESegmentModel, r: int):
+    if r != model.r:
+        raise ValueError(f"r={r} differs from the model's r={model.r}")
+
+
 def sample_rte_unitary(
     d: PauliDecomposition,
     model: RTESegmentModel,
@@ -303,11 +308,12 @@ def sample_rte_unitary(
 ) -> RTEUnitary:
     """Draw one r-segment RTE unitary (d must have unit Pauli weight): the
     frame fold of a single sample, applied to the dim identity columns as
-    dim samples that share the one draw."""
-    if d.n_qubits > RTE_DENSE_QUBIT_GUARD:
+    dim samples that share the one draw.  r must be model.r."""
+    _check_r(model, r)
+    if d.n_qubits > STATEVECTOR_QUBIT_GUARD:
         raise ValueError(f"n_qubits={d.n_qubits} exceeds dense guard")
     t = _term_tables(d)
-    e, tx, tz, scale, code = next(_frames(t, model, r, 1, rng))
+    e, tx, tz, scale, code = next(_frames(t, model, 1, rng))
     dim = 1 << d.n_qubits
     # a lone sample's sweep is its segments in reverse, each with a row of
     # its own; each step holds its segment once per column
@@ -349,9 +355,11 @@ def sample_rte_overlaps_batch(
     Returns a complex array; multiplying by alpha^r gives the unbiased
     estimator of <phi| (finite LCU)^r |psi>.  Same distribution as
     `sample_rte_unitary`: the frame fold applied to psi, drawn as in
-    `_frames`, with one batched rotation step per segment.
+    `_frames`, with one batched rotation step per segment.  r must be
+    model.r.
     """
-    e, raw = _frame_overlaps(d, [(model, r, n_samples)], psi, phi, rng)
+    _check_r(model, r)
+    e, raw = _frame_overlaps(d, [(model, n_samples)], psi, phi, rng)
     return _I_POWERS[e] * raw
 
 
@@ -361,31 +369,42 @@ def _frame_overlaps(d, pairs, psi, phi, rng):
     fold, so that the sample's phase * <phi|U|psi> is i^e times the
     overlap.
 
-    pairs is an iterable of (model, r, count).  The draws are `_frames`' for
+    pairs is an iterable of (model, count).  The draws are `_frames`' for
     each pair in turn, and the results come pair by pair, each pair's
     samples in draw order.  Consecutive pairs are folded together while
-    their draws, r * count summed over the group, stay within
-    FOLD_GROUP_ENTRIES; a larger pair is a group of its own.
+    their tables stay within FOLD_GROUP_BYTES: per pair, an 8-byte code per
+    draw (model.r * count draws) and 16 dim bytes per row of its run of the
+    fold tables (`_fold_group`).  A larger pair is a group of its own.
     """
-    if d.n_qubits > RTE_DENSE_QUBIT_GUARD:
+    if d.n_qubits > STATEVECTOR_QUBIT_GUARD:
         raise ValueError(f"n_qubits={d.n_qubits} exceeds dense guard")
+    t = _term_tables(d)  # once: a decomposition hashes term by term
     psi = np.asarray(psi, dtype=complex)
     conj_phi = np.conj(phi)
-    parts, group, entries = [], [], 0
-    for model, r, count in pairs:
-        if group and entries + r * count > FOLD_GROUP_ENTRIES:
-            parts.append(_fold_group(d, group, psi, conj_phi, rng))
-            group, entries = [], 0
-        group.append((model, r, count))
-        entries += r * count
-    parts.append(_fold_group(d, group, psi, conj_phi, rng))
+    row_bytes = 16 * len(psi)
+    parts, group, size = [], [], 0
+    for model, count in pairs:
+        draws = model.r * count
+        pair_size = 8 * draws + row_bytes * min(_n_codes(t, model), draws)
+        if group and size + pair_size > FOLD_GROUP_BYTES:
+            parts.append(_fold_group(t, group, psi, conj_phi, rng))
+            group, size = [], 0
+        group.append((model, count))
+        size += pair_size
+    parts.append(_fold_group(t, group, psi, conj_phi, rng))
     e, overlaps = zip(*parts)
     return np.concatenate(e), np.concatenate(overlaps)
 
 
-def _fold_group(d, group, psi, conj_phi, rng):
-    """(e, overlap) of every sample of a group of (model, r, count) pairs, in
-    the group's order, from one fold of the group sorted by r.
+def _n_codes(t, model) -> int:
+    """Rows of the model's whole code table: 2 n_terms per order."""
+    return 2 * len(t.xs) * len(model.orders)
+
+
+def _fold_group(t, group, psi, conj_phi, rng):
+    """(e, overlap) of every sample of a group of (model, count) pairs, in
+    the group's order, from one fold of the group sorted by r; t is the
+    decomposition's `_term_tables`.
 
     Each pair owns a run of rows of the group's fold tables (`_code_rows`):
     its whole code table, 2 n_terms rows per order, when it has at least as
@@ -398,8 +417,8 @@ def _fold_group(d, group, psi, conj_phi, rng):
     every sample is active in the pair's steps, so start[s] = s a for a
     samples and the pair's slots are the strided (r x a) view of the first
     r a entries."""
-    rs = np.array([r for _, r, _ in group])
-    counts = np.array([count for *_, count in group])
+    rs = np.array([model.r for model, _ in group])
+    counts = np.array([count for _, count in group])
     r_sample = np.repeat(rs, counts)
     # a stable sort keeps each pair's samples together and in order
     order = np.argsort(-r_sample, kind="stable")
@@ -408,8 +427,7 @@ def _fold_group(d, group, psi, conj_phi, rng):
     # step s holds one entry per sample of r > s
     active = np.cumsum(np.bincount(r_sample)[:0:-1])[::-1]
     start = _scan(np.add, active)
-    t = _term_tables(d)  # once: a decomposition hashes term by term
-    n_codes = 2 * len(t.xs) * np.array([len(m.orders) for m, *_ in group])
+    n_codes = np.array([_n_codes(t, model) for model, _ in group])
     whole = n_codes <= rs * counts
     n_rows = np.where(whole, n_codes, rs * counts).sum()
     xs, coef = np.empty(n_rows, dtype=np.int64), np.empty((n_rows, len(psi)), dtype=complex)
@@ -418,13 +436,14 @@ def _fold_group(d, group, psi, conj_phi, rng):
     scale = np.empty(len(order))
     a = len(order)
     i = row = 0  # the group's samples in draw order; a block's are consecutive
-    for (model, r, count), n, w in zip(group, n_codes.tolist(), whole.tolist()):
+    for (model, count), n, w in zip(group, n_codes.tolist(), whole.tolist()):
+        r = model.r
         dest = None
         strided = r == rs.min()
         if w:
             base, row = row, row + n
             _code_rows(t, model.thetas, np.arange(n), xs[base:row], coef[base:row])
-        for e_b, tx_b, tz_b, scale_b, code_b in _frames(t, model, r, count, rng):
+        for e_b, tx_b, tz_b, scale_b, code_b in _frames(t, model, count, rng):
             p, m = col[i], len(e_b)
             e[p:p + m], tx[p:p + m], tz[p:p + m], scale[p:p + m] = e_b, tx_b, tz_b, scale_b
             if not w:  # the block's draws get rows of their own, in draw order

@@ -229,6 +229,9 @@ def pauli_decompose(a: np.ndarray) -> PauliDecomposition:
 
 
 DENSE_QUBIT_GUARD = 12
+# qubits of the dense state-vector paths: exact evolution and the spectrum,
+# the Strang products and the RTE frame fold
+STATEVECTOR_QUBIT_GUARD = 10
 
 
 def materialize(d: PauliDecomposition) -> np.ndarray:

@@ -7,9 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliDecomposition, materialize
+from .pauli import STATEVECTOR_QUBIT_GUARD, PauliDecomposition, materialize
 
-EXACT_EVOLUTION_QUBIT_GUARD = 10
 SPECTRUM_CACHE_SIZE = 8
 
 NOISE_MODES = ("bernoulli", "gaussian", "exact")
@@ -47,7 +46,7 @@ def spectrum(d: PauliDecomposition):
 
 def exact_evolution(d: PauliDecomposition, tau: float) -> np.ndarray:
     """exp(-i * materialize(d) * tau) via Hermitian eigendecomposition."""
-    if d.n_qubits > EXACT_EVOLUTION_QUBIT_GUARD:
+    if d.n_qubits > STATEVECTOR_QUBIT_GUARD:
         raise ValueError(f"n_qubits={d.n_qubits} exceeds dense guard")
     evals, evecs = spectrum(d)
     return (evecs * np.exp(-1j * tau * evals)) @ evecs.conj().T

@@ -330,3 +330,35 @@ def test_bound_between_options_is_usage_error_naming_them(args, options):
     assert result.exit_code == 2, result.output
     assert not isinstance(result.exception, ValueError)
     assert f"Invalid value for {options}" in result.output
+
+
+SERIES_ARGS = ["--kappa-star", "10", "--eps-t", "1e-2", "--eps-d", "1e-2"]
+
+
+@pytest.mark.parametrize("args, given, results", [
+    (["gen-matrix", "--kappa", "3"], {"kappa": 3.0}, set()),
+    (["params", *SERIES_ARGS], {"kappa_star": 10.0}, set()),
+    (["build-series", *SERIES_ARGS, "--lam", "2"], {"lam": 2.0}, set()),
+    (["verify-series", *SERIES_ARGS, "--trials", "1"], {"trials": 1}, {"eps_max", "budget"}),
+    (["table1"], {"heavy": False}, set()),
+    (["resources", "--kernel", "pf", *SERIES_ARGS, "--f", "0.1", "--big-l", "4"],
+     {"f": 0.1, "r": None}, set()),
+    (["resources", "--kernel", "rte", *SERIES_ARGS, "--r", "500"], {"r": 500, "f": None}, set()),
+    (["solve", "--kernel", "pf", "--r", "3", "--n-samples", "20"],
+     {"r": 3, "matrix": None, "kernel": "pf"}, set()),
+    (["rmse-sweep", "--max-samples", "100", "--trials", "1"], {"max_samples": 100}, set()),
+    (["rte-single", "--taus", "1,2", "--r", "4", "--max-samples", "100", "--trials", "1"],
+     {"taus": [1.0, 2.0], "r": 4}, set()),
+])
+def test_manifest_config_is_the_parsed_options(args, given, results):
+    # config holds the command's name and every one of its parameters but
+    # seed and out, under the parameter's name; verify-series adds results
+    names = {p.name for p in main.commands[args[0]].params}
+    seed = ["--seed", "2"] if "seed" in names else []
+    out = run_cli([*args, *seed]).output
+    doc = json.loads(out) if out.startswith("{") else parse_csv(out)[0]
+    config = doc["config"]
+    assert set(config) == {"command"} | (names - {"seed", "out"}) | results
+    assert config["command"] == args[0]
+    assert {k: config[k] for k in given} == given
+    assert doc["master_seed"] == (2 if seed else 0)

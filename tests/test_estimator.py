@@ -479,14 +479,15 @@ def test_run_solver_rte_draws_pair_by_pair():
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("group_entries, n_groups", [(None, 1), (2000, 10)])
-def test_run_solver_rte_mixed_r_matches_pair_by_pair_oracle(monkeypatch, group_entries,
+@pytest.mark.parametrize("group_draws, n_groups", [(None, 1), (2000, 10)])
+def test_run_solver_rte_mixed_r_matches_pair_by_pair_oracle(monkeypatch, group_draws,
                                                             n_groups):
     # mixed r in one chunk: one frame fold per group of pairs (the whole
-    # chunk at the default bound, 10 groups at 2000 entries), sorted by r,
-    # gives each sample bit for bit what a fold of its pair alone gives
-    if group_entries is not None:
-        monkeypatch.setattr(kernel_rte, "FOLD_GROUP_ENTRIES", group_entries)
+    # chunk at the default bound, 10 groups at the bytes of 2000 draws with
+    # a code and a table row each), sorted by r, gives each sample bit for
+    # bit what a fold of its pair alone gives
+    if group_draws is not None:
+        monkeypatch.setattr(kernel_rte, "FOLD_GROUP_BYTES", group_draws * (8 + 16 * 4))
     groups = []
     fold_group = kernel_rte._fold_group
     monkeypatch.setattr(kernel_rte, "_fold_group",

@@ -10,6 +10,7 @@ from rqls.fourier import (
     GL_END_SET,
     SQRT_2PI,
     SeriesSizeError,
+    _sine_sums,
     build_series,
     fourier_params,
     gauss_legendre,
@@ -271,6 +272,18 @@ def test_evaluate_memory_is_blocked():
         tracemalloc.stop()
     # one J x K/2 float64 table would be 7.07 MB
     assert peak <= 1_000_000 < grid.J * (grid.K // 2) * 8
+
+
+def test_horner_accumulator_starts_on_a_cache_line():
+    # numpy's arrays start on 16-byte boundaries; the Horner loop's vector
+    # stores straddle cache lines when its accumulator is not 32-byte aligned
+    amp = np.arange(1.0, 6.0)
+    for n in range(2, 12):
+        xy = np.linspace(0.1, 1.0, n)
+        sums = _sine_sums(xy, amp, 0.3, 0.2)
+        assert sums.ctypes.data % 64 == 8  # the imaginary parts of acc
+        want = [sum(a * math.sin(v * (0.3 + m * 0.2)) for m, a in enumerate(amp)) for v in xy]
+        assert np.allclose(sums, want, rtol=1e-13, atol=0)
 
 
 def test_series_odd_symmetry(series_10):

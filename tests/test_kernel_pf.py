@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rqls.kernel_pf import PFPlan, build_pf, step_rotations, trotter_number
+from rqls.kernel_pf import PFPlan, _step_order, build_pf, trotter_number
 from rqls.pauli import commutator_constant, pauli_decompose
 from rqls.simulator import exact_evolution
 
@@ -19,11 +19,12 @@ def test_trotter_number_values():
         trotter_number(1.0, 1.0, 0.0)
 
 
-def test_step_rotations_structure():
+def test_step_order_structure():
     rng = np.random.default_rng(0)
     d = random_unit_decomposition(2, rng)
     dt = 0.3
-    seq = step_rotations(d, dt)
+    # the (string, angle) rotations of one step of length dt
+    seq = tuple((d.terms[l][1], d.terms[l][0] * w * dt) for l, w in zip(*_step_order(d.L)))
     assert len(seq) == 2 * d.L - 1
     # first L-1 are half angles in term order, middle is the full angle
     for (p, ang), (c, pref) in zip(seq[: d.L - 1], d.terms[: d.L - 1]):

@@ -333,7 +333,7 @@ def test_frame_fold_matches_per_segment_fold(n_qubits, tau, r):
 @pytest.mark.parametrize("n_qubits", [1, 2, 3])
 @pytest.mark.parametrize("tau, r", [(0.7, 1), (1.5, 3), (20.0, 100)])
 def test_unitary_and_overlap_samplers_agree_draw_for_draw(n_qubits, tau, r):
-    # both consume _frames(d, model, r, 1, rng): the unitary path folds the
+    # both consume _frames(t, model, 1, rng): the unitary path folds the
     # identity columns, the overlap path folds psi alone
     d = random_unit_decomposition(n_qubits, np.random.default_rng(50 + n_qubits))
     model = segment_model(tau, r, 20)
@@ -425,25 +425,27 @@ def test_code_table_rows_are_two_step_products(n_qubits, tau, r, n_max):
 GROUP_PAIRS = ((5, 3), (1, 4), (200, 1), (3, 2), (1, 1), (40, 1), (1, 30))
 
 
-@pytest.mark.parametrize("group_entries, sizes", [(None, [7]), (100, [2, 1, 4])])
-def test_fold_groups_match_pair_by_pair(monkeypatch, group_entries, sizes):
-    # groups are bounded by their draws, r * count summed over the pairs:
-    # at 100 entries the r = 200 pair is a group of its own, and r = 1
-    # pairs sit in mixed groups; every sample is bit for bit what a fold
-    # of its pair alone gives
-    check_fold_groups(monkeypatch, group_entries, sizes, 2)
+@pytest.mark.parametrize("group_draws, sizes", [(None, [7]), (100, [2, 1, 4])])
+def test_fold_groups_match_pair_by_pair(monkeypatch, group_draws, sizes):
+    # groups are bounded by the bytes of their codes and table rows: at the
+    # bytes of 100 draws with a row each, the r = 200 pair (its whole code
+    # table, 128 rows) is a group of its own, and r = 1 pairs sit in mixed
+    # groups; every sample is bit for bit what a fold of its pair alone gives
+    check_fold_groups(monkeypatch, group_draws, sizes, 2)
 
 
-@pytest.mark.parametrize("group_entries, sizes", [(None, [7]), (100, [2, 1, 4])])
-def test_fold_groups_match_pair_by_pair_at_four_qubits(monkeypatch, group_entries, sizes):
+@pytest.mark.parametrize("group_draws, sizes", [(None, [7]), (100, [2, 1, 4])])
+def test_fold_groups_match_pair_by_pair_at_four_qubits(monkeypatch, group_draws, sizes):
     # at dim 16 numpy sums each row of the final contraction pairwise, in
     # the same order in any batch
-    check_fold_groups(monkeypatch, group_entries, sizes, 4)
+    check_fold_groups(monkeypatch, group_draws, sizes, 4)
 
 
-def check_fold_groups(monkeypatch, group_entries, sizes, n_qubits):
-    if group_entries is not None:
-        monkeypatch.setattr(kernel_rte, "FOLD_GROUP_ENTRIES", group_entries)
+def check_fold_groups(monkeypatch, group_draws, sizes, n_qubits):
+    if group_draws is not None:
+        # an 8-byte code and a 16 dim-byte table row per draw
+        monkeypatch.setattr(kernel_rte, "FOLD_GROUP_BYTES",
+                            group_draws * (8 + 16 * (1 << n_qubits)))
     groups = []
     fold_group = kernel_rte._fold_group
     monkeypatch.setattr(kernel_rte, "_fold_group",
@@ -456,12 +458,12 @@ def check_fold_groups(monkeypatch, group_entries, sizes, n_qubits):
     phi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     psi /= np.linalg.norm(psi)
     phi /= np.linalg.norm(phi)
-    pairs = [(segment_model(1.5, r, 6), r, count) for r, count in GROUP_PAIRS]
+    pairs = [(segment_model(1.5, r, 6), count) for r, count in GROUP_PAIRS]
     e, raw = kernel_rte._frame_overlaps(d, pairs, psi, phi, np.random.default_rng(42))
     assert groups == sizes
     rng = np.random.default_rng(42)
-    want = np.concatenate([sample_rte_overlaps_batch(d, model, r, psi, phi, count, rng)
-                           for model, r, count in pairs])
+    want = np.concatenate([sample_rte_overlaps_batch(d, model, model.r, psi, phi, count, rng)
+                           for model, count in pairs])
     assert (_I_POWERS[e] * raw).tolist() == want.tolist()
 
 
@@ -470,7 +472,7 @@ def test_fold_group_memory_is_its_draws():
     # 1000 + 200 draws, where a (max r) x n rectangle holds 1000 x 201
     d = random_unit_decomposition(1, np.random.default_rng(43))
     psi = np.array([1, 0], dtype=complex)
-    pairs = [(segment_model(2.0, 1000, 6), 1000, 1), (segment_model(0.5, 1, 6), 1, 200)]
+    pairs = [(segment_model(2.0, 1000, 6), 1), (segment_model(0.5, 1, 6), 200)]
     kernel_rte._frame_overlaps(d, pairs, psi, psi, np.random.default_rng(0))  # warm caches
     rectangle_bytes = 1000 * 201 * 8  # one int64 segment code per draw
     tracemalloc.start()
@@ -480,3 +482,37 @@ def test_fold_group_memory_is_its_draws():
     finally:
         tracemalloc.stop()
     assert peak < rectangle_bytes / 4, peak
+
+
+def test_fold_group_memory_is_bounded_in_bytes():
+    # 2000 pairs of r = 100 at 4 qubits, 200,000 draws: each pair has fewer
+    # draws than codes (2 x 4 orders x 256 terms), so it gets a table row of
+    # 256 bytes per draw.  Counting draws alone put them in one group of
+    # 51 MB of rows (58.6 MB peak); counted in bytes, a group holds 2 MB
+    # (2.6 MB peak measured)
+    d = random_unit_decomposition(4, np.random.default_rng(44))
+    psi = np.zeros(16, dtype=complex)
+    psi[0] = 1
+    pairs = [(segment_model(1.0, 100, 6), 1)] * 2000
+    kernel_rte._frame_overlaps(d, pairs[:5], psi, psi, np.random.default_rng(0))  # warm caches
+    tracemalloc.start()
+    try:
+        kernel_rte._frame_overlaps(d, pairs, psi, psi, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
+
+
+@pytest.mark.parametrize("sampler", ["unitary", "batch"])
+def test_samplers_reject_an_r_other_than_the_models(sampler):
+    # r is read from the model; a second r of 7 would draw 7 segments of
+    # tau/5 each, which the caller weights by the model's alpha^5
+    d = random_unit_decomposition(1, np.random.default_rng(45))
+    model = segment_model(1.0, 5, 6)
+    psi = np.array([1, 0], dtype=complex)
+    with pytest.raises(ValueError, match="r=7 differs from the model's r=5"):
+        if sampler == "unitary":
+            sample_rte_unitary(d, model, 7, np.random.default_rng(0))
+        else:
+            sample_rte_overlaps_batch(d, model, 7, psi, psi, 10, np.random.default_rng(0))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from rqls import kernel_pf
 from rqls.estimator import KernelConfig, Problem, overlap_table_pf
 from rqls.fourier import build_series
-from rqls.kernel_pf import build_pf, step_rotations, strang_overlaps
+from rqls.kernel_pf import build_pf, strang_overlaps
 from rqls.pauli import (
     PauliDecomposition,
     PauliString,
@@ -34,10 +34,15 @@ from oracles import (
 
 def oracle_strang(d, tau, r):
     """S(tau/r)^r from cos(a) I - i sin(a) P per rotation, P by Kronecker
-    products, and np.linalg.matrix_power."""
+    products, and np.linalg.matrix_power.  A step is the symmetric sweep:
+    half angles for terms 0..L-2, the full angle for term L-1, then the
+    half angles mirrored."""
     dim = 1 << d.n_qubits
+    dt = tau / r
+    half = [(p, c * dt / 2) for c, p in d.terms[:-1]]
+    c_last, p_last = d.terms[-1]
     step = np.eye(dim, dtype=complex)
-    for p, angle in step_rotations(d, tau / r):
+    for p, angle in half + [(p_last, c_last * dt)] + half[::-1]:
         rot = math.cos(angle) * np.eye(dim) - 1j * math.sin(angle) * dense_from_text(p.to_text())
         step = step @ rot
     return np.linalg.matrix_power(step, r)
